@@ -10,6 +10,7 @@ violation, 5 numeric failure, 6 check failed.
 """
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -46,13 +47,17 @@ class SchemaError(ValueError):
 
 def _entry_in(v):
     if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, str):
+        z = complex(v)
+    elif isinstance(v, str):
         try:
-            return complex(v)
+            z = complex(v)
         except ValueError as exc:
             raise SchemaError(f"bad matrix entry {v!r}") from exc
-    raise SchemaError(f"bad matrix entry {v!r}")
+    else:
+        raise SchemaError(f"bad matrix entry {v!r}")
+    if not cmath.isfinite(z):
+        raise SchemaError(f"non-finite matrix entry {v!r}")
+    return z
 
 
 def _mat_in(obj, what="matrix"):

@@ -320,8 +320,6 @@ class CmResolutionError(RuntimeError):
 
 
 def _cm_core(eval_fn, poles, delta, bound):
-    from .kernels import jacobi_eigvals
-
     poles = sorted(poles)
     deltas = [delta if delta is not None else 1e-4 * (1.0 + abs(p)) for p in poles]
     for (p1, d1), (p2, d2) in zip(zip(poles, deltas), zip(poles[1:], deltas[1:])):
@@ -340,9 +338,7 @@ def _cm_core(eval_fn, poles, delta, bound):
             if np.max(np.abs(G.imag)) > 1e-8 * max(np.max(np.abs(G)), 1.0):
                 raise ValueError(f"G({lam}) is not real; Cauchy-Maslov "
                                  "index needs a real symmetric matrix")
-            G = (G.real + G.real.T) / 2.0
-            ev = jacobi_eigvals(np.ascontiguousarray(G, dtype=np.float64),
-                                1e-12, 100)
+            ev = np.linalg.eigvalsh((G.real + G.real.T) / 2.0)
             jumps[side] = (int(np.sum(ev < -M)), int(np.sum(ev > M)))
         plus = min(jumps["-"][0], jumps["+"][1])    # -inf -> +inf
         minus = min(jumps["-"][1], jumps["+"][0])   # +inf -> -inf

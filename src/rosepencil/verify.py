@@ -13,7 +13,6 @@ import numpy as np
 import scipy.linalg
 
 from . import tuples as tp
-from .kernels import aberth_roots
 from .polymat import PolyMatrix, lambda_alpha, omega_alpha, q_matrix, r_matrix
 
 __all__ = [
@@ -143,64 +142,32 @@ def det_proportionality(L, S, tol=1e-8):
 # ---------------------------------------------------------------------------
 # pencil eigenvalues
 
-def _monomial_det_coeffs(X, Y, radius=1.5):
-    """Monomial coefficients of det(X + lam Y) by inverse DFT of samples
-    on a circle."""
-    N = X.shape[0]
-    K = 1
-    while K < 2 * (N + 1):
-        K *= 2
-    ang = 2 * np.pi * np.arange(K) / K
-    pts = radius * np.exp(1j * ang)
-    vals = np.array([np.linalg.det(X + z * Y) for z in pts])
-    c = np.fft.fft(vals) / K  # fft computes sum f_j w^{-jk}
-    c = c[: N + 1] / radius ** np.arange(N + 1)
-    return c
-
-
-def pencil_eigenvalues(X, Y=None, cluster_tol=1e-6, coeff_tol=1e-10,
-                       max_iter=200):
+def pencil_eigenvalues(X, Y=None, cluster_tol=1e-6):
     """Finite eigenvalues of the pencil X + lam Y with multiplicities.
 
-    Roots of the interpolated determinant polynomial via Aberth-Ehrlich,
-    polished by Newton steps on the exact determinant (logarithmic
-    derivative = trace((X + lam Y)^{-1} Y)), then clustered."""
+    QZ on (-X, Y) gives pairs (alpha, beta) with lam = alpha / beta.  With
+    a = |alpha| / ||X|| and b = |beta| / ||Y||, a pair with a and b both
+    at most sqrt(eps) makes the pencil numerically singular, and a pair
+    with only b that small is an eigenvalue at infinity.  Finite
+    eigenvalues within cluster_tol (relative) are merged."""
     if Y is None:
         X, Y = X.X, X.Y
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if X.shape[0] == 0:
         return []
-    c = _monomial_det_coeffs(X, Y)
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
+    alpha, beta = scipy.linalg.eigvals(-X, Y, homogeneous_eigvals=True)
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+        raise VerificationFailure("QZ returned non-finite eigenvalues")
+    tol = math.sqrt(np.finfo(float).eps)
+    a = np.abs(alpha) / max(float(np.linalg.norm(X)), 1e-300)
+    b = np.abs(beta) / max(float(np.linalg.norm(Y)), 1e-300)
+    if np.any((a <= tol) & (b <= tol)):
         raise VerificationFailure("singular pencil: determinant vanishes identically")
-    deg = len(c) - 1
-    while deg > 0 and abs(c[deg]) <= coeff_tol * scale:
-        deg -= 1
-    if deg == 0:
-        return []
-    roots = aberth_roots(np.ascontiguousarray(c[: deg + 1]), 1e-13, max_iter)
-
-    polished = []
-    for z in roots:
-        for _ in range(12):
-            M = X + z * Y
-            try:
-                t = np.trace(np.linalg.solve(M, Y))
-            except np.linalg.LinAlgError:
-                break
-            if t == 0 or not np.isfinite(t):
-                break
-            step = 1.0 / t
-            z = z - step
-            if abs(step) <= 1e-14 * (1.0 + abs(z)):
-                break
-        polished.append(z)
-
-    polished.sort(key=lambda z: (round(z.real, 8), round(z.imag, 8)))
+    finite = sorted(alpha[b > tol] / beta[b > tol],
+                    key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     out = []
-    for z in polished:
+    for z in finite:
         if out and abs(z - out[-1][0]) <= cluster_tol * (1.0 + abs(z)):
             zc, k = out[-1]
             out[-1] = ((zc * k + z) / (k + 1), k + 1)

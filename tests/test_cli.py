@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rosepencil.cli import main
+from conftest import make_realization
 
 
 def run(capsys, *argv):
@@ -154,6 +155,28 @@ def test_eig_and_recover(capsys, tmp_path, gen_problem):
     assert code == 0
     doc = json.loads(out)
     assert "system" in doc and "g" in doc
+
+
+def test_eig_large_fiedler_pencil(capsys, tmp_path, rng):
+    from rosepencil.cli import _pencil_out
+    from rosepencil.pencils import fiedler_pencil
+
+    re = make_realization("general", rng, m=8, n=7, r=10, ns_top=True)
+    L = fiedler_pencil(tuple(rng.permutation(8)), re)
+    pencil = _dump(tmp_path, "pencil.json", _pencil_out(L))
+    code, out = run(capsys, "eig", "--pencil", pencil)
+    assert code == 0
+    eigs = json.loads(out)["eigenvalues"]
+    assert sum(e["multiplicity"] for e in eigs) == 66
+    assert all(np.isfinite(complex(str(e["value"]))) for e in eigs)
+
+
+def test_non_finite_entry_is_schema_error(capsys, tmp_path):
+    pencil = _dump(tmp_path, "pencil.json", {
+        "X": [["nan", 0], [0, 1]], "Y": [[1, 0], [0, 1]],
+        "m": 1, "n": 2, "r": 0})
+    code, _ = run(capsys, "eig", "--pencil", pencil)
+    assert code == 2
 
 
 def test_cm_index(capsys, tmp_path):

@@ -195,6 +195,27 @@ def test_cm_invariance_under_linearization(rng):
     assert got_g == got_l
 
 
+@pytest.mark.parametrize("r,n", [(28, 6), (34, 4)])
+def test_cm_hidden_diagonal(r, n, rng):
+    # E = T^T diag(s) T and A = T^T diag(p s) T put a pole at each p_i
+    # with a rank-one residue of sign s_i, so the index is sum(s)
+    s = np.where(np.arange(r) % 3 == 0, -1.0, 1.0)
+    p = np.linspace(-4.0, 4.0, r)
+    T = np.eye(r) + 0.2 * rng.normal(size=(r, r))
+    E = T.T @ np.diag(s) @ T
+    A = T.T @ np.diag(p * s) @ T
+    P0, P1 = (rng.normal(size=(n, n)) for _ in range(2))
+    P = MatrixPolynomial([P0 + P0.T, P1 + P1.T])
+    re = make_structured_realization("symmetric", P, (A + A.T) / 2,
+                                     rng.normal(size=(r, n)),
+                                     E=(E + E.T) / 2)
+    for source in (re, symmetric_linearization(re, 0)):
+        idx, details = cauchy_maslov_index(source, details=True)
+        assert idx == int(s.sum()) != 0
+        found = np.sort([pole for pole, _, _ in details])
+        assert found.shape == (r,) and np.allclose(found, p, atol=1e-8)
+
+
 def test_cm_rejects_nonreal(rng):
     A = np.diag([1.0 + 1.0j])
     B = np.ones((1, 1), dtype=complex)

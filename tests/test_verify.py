@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from rosepencil.polymat import (MatrixPolynomial, PolyMatrix, lambda_alpha,
                                 omega_alpha)
@@ -42,13 +41,38 @@ def test_det_proportionality(rng):
         det_proportionality(other, S)
 
 
-def test_pencil_eigenvalues_vs_qz(rng):
+def _relative_sigma_min(M):
+    s = np.linalg.svd(M, compute_uv=False)
+    return s[-1] / s[0]
+
+
+def test_pencil_eigenvalues_vs_oracles(rng):
+    # checked against rank drops, the interpolated determinant and the
+    # argument principle, none of which runs QZ; the second pencil has a
+    # constant last column, so it also has an eigenvalue at infinity
     X = ints(rng, 5, 5)
-    Y = ints(rng, 5, 5) + 6 * np.eye(5)
-    got = eig_multiset(pencil_eigenvalues(X, Y))
-    # det(X + lam Y) = 0 <=> lam is a generalized eigenvalue of (-X, Y)
-    ref = sorted(scipy.linalg.eigvals(-X, Y), key=lambda z: (z.real, z.imag))
-    assert multiset_distance(got, ref) <= 1e-6
+    Y_regular = ints(rng, 5, 5) + 6 * np.eye(5)
+    Y_inf = Y_regular.copy()
+    Y_inf[:, -1] = 0
+    for Y in (Y_regular, Y_inf):
+        eigs = eig_multiset(pencil_eigenvalues(X, Y))
+        assert all(_relative_sigma_min(X + z * Y) <= 1e-10 for z in eigs)
+        assert len(eigs) == det_poly(PolyMatrix([X, Y])).degree
+        mods = sorted(abs(z) for z in eigs)
+        k = int(np.argmax(np.diff(mods)))
+        R = (mods[k] + mods[k + 1]) / 2
+        assert argument_principle_count(X, Y, radius=R) == k + 1
+
+
+@pytest.mark.parametrize("m,n,r", [(6, 7, 6), (8, 7, 10)])
+def test_pencil_eigenvalues_large_fiedler(m, n, r, rng):
+    # N = mn + r = 48 and 66, all eigenvalues finite
+    re = make_realization("general", rng, m=m, n=n, r=r, ns_top=True)
+    L = fiedler_pencil(tuple(rng.permutation(m)), re)
+    S = system_matrix(re)
+    eigs = eig_multiset(pencil_eigenvalues(L.X, L.Y))
+    assert len(eigs) == m * n + r
+    assert all(_relative_sigma_min(S(z)) <= 1e-10 for z in eigs)
 
 
 def test_pencil_eigenvalue_multiplicity():
