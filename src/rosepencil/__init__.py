@@ -8,7 +8,7 @@ Subpackages/modules:
 - ``realize``     realizations G(lam) = P(lam) + C (lam E - A)^{-1} B and system matrices
 - ``pencils``     FP / GFP / GFPR pencil builders (product and bordered paths)
 - ``structured``  block-symmetric, symmetric, T-even/T-odd, (skew-)Hamiltonian,
-                  skew-symmetric linearizations; quasi-identity search; Cauchy-Maslov index
+                  skew-symmetric linearizations; quasi-identity signs; Cauchy-Maslov index
 - ``recover``     eigenvector / minimal-basis / minimal-index recovery maps
 - ``verify``      numeric oracles (determinants, eigenvalues, nullspaces, degree sweeps)
 - ``cli``         command-line front end

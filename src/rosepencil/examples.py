@@ -305,7 +305,7 @@ def _skew_realization(rng, n, r, m, ns_top=False):
 def _structured_display(re, h, z, signs, terms, build):
     """Exact reconstruction of a printed structured display.
 
-    The printed sign pattern is the search result Q (first block +1);
+    The printed sign pattern is find_quasi_identity's Q (first block +1);
     the printed border always carries the border-normalized sign, so the
     two are mutually consistent only when s := Q[border block] = +1.
     The check therefore splits: the polynomial part must equal Q L(lam)

@@ -18,7 +18,7 @@ from . import tuples as tp
 __all__ = [
     "PolyMatrix", "MatrixPolynomial",
     "elementary_matrix", "fiedler_matrix_P", "fiedler_matrix_S",
-    "block_transpose_dense", "BorderedBlockMatrix",
+    "block_transpose_dense",
     "lambda_alpha", "omega_alpha", "q_matrix", "r_matrix",
     "structure_check", "StructureReport", "STRUCTURE_TAGS",
     "quasi_identity_matrix",
@@ -237,22 +237,6 @@ def fiedler_matrix_S(i, re):
     return M
 
 
-def fiedler_matrix_P_padded(i, P, r):
-    """diag(M_i^P, I_r): the mn+r sized Fiedler factor that ignores the
-    state-space corner (used by GFPR decorations and complements)."""
-    m, n = P.m, P.n
-    M = np.eye(m * n + r, dtype=complex)
-    M[: m * n, : m * n] = fiedler_matrix_P(i, P)
-    return M
-
-
-def elementary_matrix_padded(i, X, m, n, r):
-    """diag(M_i(X), I_r)."""
-    M = np.eye(m * n + r, dtype=complex)
-    M[: m * n, : m * n] = elementary_matrix(i, X, m, n)
-    return M
-
-
 # ---------------------------------------------------------------------------
 # block transpose
 
@@ -266,37 +250,6 @@ def block_transpose_dense(M, m, n):
         for j in range(1, m + 1):
             _blk(out, j, i, n)[:] = _blk(M, i, j, n)
     return out
-
-
-@dataclass(frozen=True)
-class BorderedBlockMatrix:
-    """[[H, e_u (x) X], [e_v^T (x) Y, Z]] with H an m x m grid of
-    n x n blocks, X n x r, Y r x n, Z r x r; u, v 1-based."""
-    H: np.ndarray
-    m: int
-    n: int
-    u: int
-    X: np.ndarray
-    v: int
-    Y: np.ndarray
-    Z: np.ndarray
-
-    def block_transpose(self):
-        return BorderedBlockMatrix(
-            H=block_transpose_dense(self.H, self.m, self.n),
-            m=self.m, n=self.n,
-            u=self.v, X=self.X, v=self.u, Y=self.Y, Z=self.Z)
-
-    def to_dense(self):
-        m, n = self.m, self.n
-        r = self.Z.shape[0]
-        N = m * n + r
-        out = np.zeros((N, N), dtype=complex)
-        out[: m * n, : m * n] = self.H
-        out[(self.u - 1) * n: self.u * n, m * n:] = self.X
-        out[m * n:, (self.v - 1) * n: self.v * n] = self.Y
-        out[m * n:, m * n:] = self.Z
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +386,14 @@ def _coeff_list(M):
     return list(arr)
 
 
+def _structure_tol(coeffs, tol, exact):
+    """The tolerance structure_check applies to these coefficients."""
+    scale = max((float(np.max(np.abs(c))) for c in coeffs), default=0.0)
+    if tol is None:
+        tol = 0.0 if exact else 1e-12 * scale
+    return tol
+
+
 def structure_check(M, tag, tol=None, exact=False):
     """Coefficient-level structure predicate per the standard table,
     e.g. T-even iff A_j^T = (-1)^j A_j.  Default tolerance is
@@ -440,9 +401,7 @@ def structure_check(M, tag, tol=None, exact=False):
     tag = normalize_tag(tag)
     conj, sign = _STRUCTURE_RULES[tag]
     coeffs = _coeff_list(M)
-    scale = max((float(np.max(np.abs(c))) for c in coeffs), default=0.0)
-    if tol is None:
-        tol = 0.0 if exact else 1e-12 * scale
+    tol = _structure_tol(coeffs, tol, exact)
     for j, A in enumerate(coeffs):
         if A.shape[0] != A.shape[1]:
             raise ValueError("structure_check needs square coefficients")

@@ -9,7 +9,6 @@ on the polynomial part.  The sign at the border block is normalized to
 +1 so the borders keep the realization's C and B unchanged.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,8 @@ import numpy as np
 from . import tuples as tp
 from .pencils import (BlockPencil, GfprRecipe, RecipeError, gfpr, gfpr_poly,
                       trivial_assignment)
-from .polymat import (block_transpose_dense, quasi_identity_matrix,
-                      structure_check)
+from .polymat import (_STRUCTURE_RULES, _structure_tol, block_transpose_dense,
+                      normalize_tag, quasi_identity_matrix, structure_check)
 from .realize import StructuralViolation, jay, j_matrix
 
 __all__ = [
@@ -32,7 +31,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# quasi-identity search
+# quasi-identity signs
 
 @dataclass(frozen=True)
 class QuasiIdentity:
@@ -48,22 +47,54 @@ class AmbiguousQuasiIdentity(RuntimeError):
 
 def find_quasi_identity(L, target, tol=None, exact=False):
     """The quasi-identity Q (first parameter +1) with Q L(lam) having the
-    target structure; exhaustive over the 2^(m-1) sign patterns.  Raises
-    when none exists or more than one does."""
+    target structure.  Raises when none exists or more than one does.
+
+    Block (i, k) of (Q M)^T - sigma Q M (^H for the conjugate tags) is
+    s_k (M_ki^T - sigma s_i s_k M_ik), exactly in floating point, and
+    |Q M| = |M| entrywise.  So the check structure_check makes of Q L is
+    an AND over block pairs of tests on the parity s_i s_k alone: two
+    m x m tables hold every test, and one walk of the block graph from
+    s_1 = +1 gives the same answer as trying all 2^(m-1) sign patterns
+    (for finite entries)."""
     m, n = L.m, L.n
-    found = []
-    for rest in itertools.product((1, -1), repeat=m - 1):
-        signs = (1,) + rest
-        Q = quasi_identity_matrix(signs, n)
-        if structure_check([Q @ L.X, Q @ L.Y], target, tol=tol, exact=exact):
-            found.append(signs)
-    if not found:
-        raise StructuralViolation(
-            f"no quasi-identity makes this pencil {target}")
-    if len(found) > 1:
+    conj, sign = _STRUCTURE_RULES[normalize_tag(target)]
+    coeffs = [np.asarray(L.X, dtype=complex), np.asarray(L.Y, dtype=complex)]
+    tol = _structure_tol(coeffs, tol, exact)
+    ok = {}
+    for p in (1, -1):
+        dev = np.zeros((m, m))
+        for j, A in enumerate(coeffs):
+            At = A.conj().T if conj else A.T
+            D = np.abs(At - (sign(j) * p) * A).reshape(m, n, m, n)
+            dev = np.maximum(dev, D.max(axis=(1, 3)))
+        ok[p] = dev <= tol
+    none = f"no quasi-identity makes this pencil {target}"
+    if not (ok[1].diagonal().all() and (ok[1] | ok[-1]).all()):
+        raise StructuralViolation(none)
+    # s_i s_k forced by pair (i, k): +1 or -1, or 0 when both parities pass
+    forced = (ok[1].astype(int) - ok[-1].astype(int)).tolist()
+    signs = [0] * m
+    components = 0
+    for root in range(m):
+        if signs[root]:
+            continue
+        components += 1
+        signs[root] = 1
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for k, p in enumerate(forced[i]):
+                if not p:
+                    continue
+                if not signs[k]:
+                    signs[k] = p * signs[i]
+                    stack.append(k)
+                elif signs[k] != p * signs[i]:
+                    raise StructuralViolation(none)
+    if components > 1:
         raise AmbiguousQuasiIdentity(
-            f"{len(found)} quasi-identities make this pencil {target}: {found}")
-    return QuasiIdentity(signs=found[0])
+            f"{2 ** (components - 1)} quasi-identities make this pencil {target}")
+    return QuasiIdentity(signs=tuple(signs))
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ canonical-form tuples and type-1 rewrites -- lives here.
 Everything is a pure function on immutable values.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = [
     "rev", "neg", "shift", "concat", "string",
-    "is_sip", "is_csf", "csf_normalize", "CsfNormalizationError",
+    "is_sip", "is_csf", "permutation_csf",
     "consecutions", "inversions",
     "total_consecutions", "total_inversions",
     "Rciss", "rciss",
@@ -25,8 +24,6 @@ __all__ = [
     "symmetric_complement", "is_canonical_form",
     "zr_rewrite", "is_type1_right",
 ]
-
-CSF_SEARCH_CAP = 10**6
 
 
 def rev(t):
@@ -104,44 +101,6 @@ def is_csf(t):
     return all(ends[i] > ends[i + 1] for i in range(len(ends) - 1))
 
 
-class CsfNormalizationError(RuntimeError):
-    pass
-
-
-def csf_normalize(t, h):
-    """Normalize t to column standard form using only swaps of adjacent
-    entries i, j with \\|i - j\\| > 1 (which leave the associated matrix
-    product unchanged).  Breadth-first search, capped at CSF_SEARCH_CAP
-    visited states."""
-    s = _normalize_range(t, h)
-    offset = tuple(t) != s and len(s) > 0  # negative input range?
-    if not is_sip(s, h):
-        raise ValueError(f"tuple is not SIP for h={h}: {t}")
-
-    def back(res):
-        return shift(res, -h) if offset else res
-
-    if is_csf(s):
-        return back(s)
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        cur = queue.popleft()
-        for k in range(len(cur) - 1):
-            if abs(cur[k] - cur[k + 1]) > 1:
-                nxt = cur[:k] + (cur[k + 1], cur[k]) + cur[k + 2:]
-                if nxt in seen:
-                    continue
-                if is_csf(nxt):
-                    return back(nxt)
-                seen.add(nxt)
-                queue.append(nxt)
-                if len(seen) > CSF_SEARCH_CAP:
-                    raise CsfNormalizationError(
-                        f"csf search exceeded {CSF_SEARCH_CAP} states for {t}")
-    raise CsfNormalizationError(f"no column standard form reachable from {t}")
-
-
 def consecutions(t, k):
     """c_k(t): the largest p with (k, k+1, ..., k+p) a subtuple of t;
     -1 when k does not occur in t."""
@@ -182,6 +141,20 @@ def _adjacent_orders(alpha):
     for i, x in enumerate(alpha):
         pos[x] = i
     return [pos[j] < pos[j + 1] for j in range(m - 1)]
+
+
+def permutation_csf(alpha):
+    """Column standard form of a permutation of {0:m-1}, as reached by
+    swapping adjacent entries that differ by more than 1: cut {0:m-1}
+    wherever j + 1 comes before j, and list the strings highest first."""
+    alpha, m = _check_permutation(alpha)
+    ords = _adjacent_orders(alpha)
+    strings, start = [], 0
+    for j in range(m):
+        if j == m - 1 or not ords[j]:
+            strings.append(string(start, j))
+            start = j + 1
+    return concat(*reversed(strings))
 
 
 def total_consecutions(alpha):
@@ -350,8 +323,7 @@ def is_type1_right(beta, alpha):
     """True iff beta is a right index tuple of type-1 relative to alpha:
     folding zr_rewrite over beta succeeds at every step.  alpha need not
     be given in csf; it is normalized first."""
-    alpha, m = _check_permutation(alpha)
-    cur = alpha if is_csf(alpha) else csf_normalize(alpha, m - 1)
+    cur = permutation_csf(alpha)
     for s in beta:
         strings = _csf_strings(cur)
         if not any(r[0] == s and len(r) >= 2 for r in strings):

@@ -91,7 +91,7 @@ def test_criterion_3_quasi_identity():
     displays = ("teven_m5", "teven_m4", "todd_m5", "todd_m4",
                 "skew_m5", "skew_m4")
     # each corpus entry asserts the printed sign pattern (up to the global
-    # sign of the border-normalized form) against the exhaustive search
+    # sign of the border-normalized form) against find_quasi_identity
     ok = all(run_example(d, seed=0).ok for d in displays)
 
     rng = np.random.default_rng(42)

@@ -1,14 +1,18 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rosepencil.pencils import RecipeError, gfpr_poly
-from rosepencil.polymat import MatrixPolynomial, structure_check
+from rosepencil.polymat import (STRUCTURE_TAGS, MatrixPolynomial,
+                                quasi_identity_matrix, structure_check)
 from rosepencil.realize import (Realization, StructuralViolation, jay,
                                 make_structured_realization, system_matrix,
                                 transfer_function_eval)
-from rosepencil.structured import (AmbiguousQuasiIdentity,
-                                   block_symmetric_gfpr, cauchy_maslov_index,
-                                   find_quasi_identity,
+from rosepencil.structured import (AmbiguousQuasiIdentity, QuasiIdentity,
+                                   _even_odd_recipe, block_symmetric_gfpr,
+                                   cauchy_maslov_index, find_quasi_identity,
                                    hamiltonian_linearization,
                                    skew_hamiltonian_linearization,
                                    skew_symmetric_linearization,
@@ -32,6 +36,16 @@ _TARGET = {
 }
 
 
+def _exact_structure(kind, re, L):
+    """The exact structure check of a built pencil, after J for the
+    Hamiltonian kinds."""
+    cl = [L.X, L.Y]
+    if kind in ("hamiltonian", "skew-hamiltonian"):
+        J = jay(re.m * re.n, re.r)
+        cl = [J @ L.X, J @ L.Y]
+    return structure_check(cl, _TARGET[kind], exact=True)
+
+
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))
 @pytest.mark.parametrize("m,h", [(3, 0), (3, 2), (5, 2), (4, 0)])
 def test_structured_linearizations_exact_structure(kind, m, h, rng):
@@ -39,11 +53,7 @@ def test_structured_linearizations_exact_structure(kind, m, h, rng):
         pytest.skip("h out of range")
     re = make_realization(kind, rng, m=m, ns_top=True)
     L = _BUILDERS[kind](re, h)
-    cl = [L.X, L.Y]
-    if kind in ("hamiltonian", "skew-hamiltonian"):
-        J = jay(re.m * re.n, re.r)
-        cl = [J @ L.X, J @ L.Y]
-    assert structure_check(cl, _TARGET[kind], exact=True)
+    assert _exact_structure(kind, re, L)
     assert det_proportionality(L, system_matrix(re)).deviation <= 1e-8
 
 
@@ -118,7 +128,6 @@ def test_quasi_identity_unique_on_family(rng):
     # for theorem-family recipes, the search has exactly one hit
     for kind in ("t-even", "t-odd", "skew-symmetric"):
         re = make_realization(kind, rng, m=4, ns_top=True)
-        from rosepencil.structured import _even_odd_recipe
         recipe = _even_odd_recipe(re, 0, None)
         LP = gfpr_poly(recipe, re.P)
         qi = find_quasi_identity(LP, _TARGET[kind])
@@ -128,10 +137,67 @@ def test_quasi_identity_unique_on_family(rng):
 
 def test_quasi_identity_none_for_wrong_target(rng):
     re = make_realization("t-even", rng, m=3)
-    from rosepencil.structured import _even_odd_recipe
     LP = gfpr_poly(_even_odd_recipe(re, 0, None), re.P)
     with pytest.raises(StructuralViolation):
         find_quasi_identity(LP, "t-odd")
+
+
+def exhaustive_quasi_identity(L, target, tol=None, exact=False):
+    """Reference for find_quasi_identity: one structure_check per sign
+    pattern, over all 2^(m-1) patterns with s_1 = +1."""
+    found = []
+    for rest in itertools.product((1, -1), repeat=L.m - 1):
+        Q = quasi_identity_matrix((1,) + rest, L.n)
+        if structure_check([Q @ L.X, Q @ L.Y], target, tol=tol, exact=exact):
+            found.append((1,) + rest)
+    if not found:
+        raise StructuralViolation(f"no quasi-identity makes this pencil {target}")
+    if len(found) > 1:
+        raise AmbiguousQuasiIdentity(f"{len(found)} quasi-identities")
+    return QuasiIdentity(signs=found[0])
+
+
+def _outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw).signs
+    except (StructuralViolation, AmbiguousQuasiIdentity) as exc:
+        return type(exc)
+
+
+def test_quasi_identity_matches_exhaustive_search():
+    rng = np.random.default_rng(2024)
+    kinds = sorted(_BUILDERS)
+    seen = {"unique": 0, "none": 0, "ambiguous": 0}
+    case = 0
+    for m in range(3, 9):
+        for h in (0, 2):
+            kind = kinds[case % len(kinds)]
+            case += 1
+            re = make_realization(kind, rng, m=m, ns_top=True)
+            LP = gfpr_poly(_even_odd_recipe(re, h, None), re.P)
+            n = re.n
+            # one block pair (i, k) and (k, i) zeroed: the block graph may
+            # fall apart into components, each with a free sign
+            i, k = sorted(rng.choice(m, size=2, replace=False))
+            X, Y = LP.X.copy(), LP.Y.copy()
+            for a, b in ((i, k), (k, i)):
+                X[a * n:(a + 1) * n, b * n:(b + 1) * n] = 0
+                Y[a * n:(a + 1) * n, b * n:(b + 1) * n] = 0
+            # one entry moved by about the default tolerance
+            Xp = LP.X.copy()
+            Xp[0, n] += 0.7e-12 * np.max(np.abs([LP.X, LP.Y]))
+            for L in (LP, SimpleNamespace(m=m, n=n, X=X, Y=Y),
+                      SimpleNamespace(m=m, n=n, X=Xp, Y=LP.Y)):
+                for tag in STRUCTURE_TAGS:
+                    for exact in (False, True):
+                        got = _outcome(find_quasi_identity, L, tag, exact=exact)
+                        want = _outcome(exhaustive_quasi_identity, L, tag,
+                                        exact=exact)
+                        assert got == want, (kind, m, h, tag, exact)
+                        seen["none" if want is StructuralViolation else
+                             "ambiguous" if want is AmbiguousQuasiIdentity
+                             else "unique"] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_ind_gate(rng):
@@ -155,6 +221,26 @@ def test_border_sign_normalization(rng):
         signs = L.provenance["quasi_identity"]
         border = L.col_block
         assert signs[border - 1] == 1
+
+
+@pytest.mark.parametrize("m", [12, 16])
+def test_decorated_skew_builds_at_large_m(m, rng):
+    # t_z = (1 - m,) makes is_type1_right bring rev(z + m) to column
+    # standard form, for h = 0 a permutation of {0:m-1}
+    for kind in ("skew-symmetric", "skew-hamiltonian"):
+        re = make_realization(kind, rng, m=m, ns_top=True)
+        L = _BUILDERS[kind](re, 0, t_z=(1 - m,))
+        assert _exact_structure(kind, re, L)
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_structured_linearizations_at_m20(kind, rng):
+    re = make_realization(kind, rng, m=20, ns_top=True)
+    L = _BUILDERS[kind](re, 0)
+    assert _exact_structure(kind, re, L)
+    c0 = _even_odd_recipe(re, 0, None).right_index()
+    assert L.col_block == L.row_block == 20 - c0
+    assert L.provenance["quasi_identity"][20 - c0 - 1] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
+from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,6 +37,35 @@ def test_csf():
     assert tp.is_csf((2, 3, 0, 1))
     assert tp.is_csf((0, 1, 2, 0, 1, 0))  # complements are csf
     assert not tp.is_csf((0, 1, 0, 1))
+
+
+def csf_bfs(alpha):
+    """Reference column standard form: breadth-first search over swaps of
+    adjacent entries that differ by more than 1."""
+    alpha = tuple(alpha)
+    if tp.is_csf(alpha):
+        return alpha
+    seen, queue = {alpha}, deque([alpha])
+    while queue:
+        cur = queue.popleft()
+        for k in range(len(cur) - 1):
+            if abs(cur[k] - cur[k + 1]) > 1:
+                nxt = cur[:k] + (cur[k + 1], cur[k]) + cur[k + 2:]
+                if nxt in seen:
+                    continue
+                if tp.is_csf(nxt):
+                    return nxt
+                seen.add(nxt)
+                queue.append(nxt)
+    raise AssertionError(f"no column standard form reachable from {alpha}")
+
+
+def test_permutation_csf_matches_search():
+    perms = [p for h in range(6) for p in itertools.permutations(range(h + 1))]
+    rng = np.random.default_rng(7)
+    perms += [tuple(int(x) for x in rng.permutation(7 + k % 2)) for k in range(200)]
+    for alpha in perms:
+        assert tp.permutation_csf(alpha) == csf_bfs(alpha), alpha
 
 
 def test_consecutions_inversions():
