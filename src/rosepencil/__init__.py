@@ -6,7 +6,7 @@ Subpackages/modules:
 - ``tuples``      index-tuple combinatorics (SIP, csf, consecutions, RCISS, ...)
 - ``polymat``     matrix polynomials, elementary/Fiedler matrices, block transpose
 - ``realize``     realizations G(lam) = P(lam) + C (lam E - A)^{-1} B and system matrices
-- ``pencils``     FP / GFP / GFPR pencil builders (product and bordered paths)
+- ``pencils``     FP / GFP / GFPR pencil builders (polynomial pencil of P, bordered)
 - ``structured``  block-symmetric, symmetric, T-even/T-odd, (skew-)Hamiltonian,
                   skew-symmetric linearizations; quasi-identity signs; Cauchy-Maslov index
 - ``recover``     eigenvector / minimal-basis / minimal-index recovery maps

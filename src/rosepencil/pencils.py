@@ -4,9 +4,11 @@ Convention: a BlockPencil stores the pair (X, Y) with value X + lam*Y.
 The families are written lam*M_tau - M_sigma in product form, so the
 builders set X = -(product without the lam factor) and Y = (lam factor).
 
-Every builder offers two construction paths -- the raw product of
-Fiedler factors, and the operation-free bordered formula -- and
-``path="both"`` (the default) asserts they agree elementwise.
+Every builder forms the mn x mn polynomial pencil of P from Fiedler
+factors of P and borders it operation-free: C in the column of block
+u = m - i_0, B in the row of block v = m - c_0, and A - lam*E in the
+r x r corner.  The product of system-matrix Fiedler factors, which
+yields the same pencil, serves as a test oracle only.
 """
 
 from dataclasses import dataclass, field
@@ -82,27 +84,18 @@ def _resolve_assignment(t, mats, P):
     return mats
 
 
-def _pad(M, r):
-    if r == 0:
-        return M
-    N = M.shape[0] + r
-    out = np.eye(N, dtype=complex)
-    out[: M.shape[0], : M.shape[0]] = M
-    return out
-
-
-def _assign_product(t, mats, m, n, r=0):
-    """Product of diag(M_i(X_i), I_r) over the tuple, left to right."""
-    out = np.eye(m * n + r, dtype=complex)
+def _assign_product(t, mats, m, n):
+    """Product of M_i(X_i) over the tuple, left to right."""
+    out = np.eye(m * n, dtype=complex)
     for i, X in zip(t, mats):
-        out = out @ _pad(elementary_matrix(i, X, m, n), r)
+        out = out @ elementary_matrix(i, X, m, n)
     return out
 
 
-def _fiedler_product_P(t, P, r=0):
-    out = np.eye(P.m * P.n + r, dtype=complex)
+def _fiedler_product_P(t, P):
+    out = np.eye(P.m * P.n, dtype=complex)
     for i in t:
-        out = out @ _pad(fiedler_matrix_P(i, P), r)
+        out = out @ fiedler_matrix_P(i, P)
     return out
 
 
@@ -193,9 +186,9 @@ class GfprRecipe:
         return True
 
 
-def _border_dense(XP, YP, re, u, v):
-    """Wrap the polynomial pencil (XP, YP) with the C column at block u,
-    B row at block v and corner A - lam E."""
+def _bordered(XP, YP, re, u, v, prov):
+    """The pencil of G from the polynomial pencil (XP, YP): C column at
+    block u, B row at block v, corner A - lam E."""
     m, n, r = re.m, re.n, re.r
     N = m * n + r
     X = np.zeros((N, N), dtype=complex)
@@ -206,58 +199,37 @@ def _border_dense(XP, YP, re, u, v):
     X[m * n:, (v - 1) * n: v * n] = re.B
     X[m * n:, m * n:] = re.A
     Y[m * n:, m * n:] = -re.E
-    return X, Y
+    return BlockPencil(X, Y, m, n, r, col_block=u, row_block=v, provenance=prov)
 
 
-def _paths_agree(Xa, Ya, Xb, Yb, what):
-    if not (np.array_equal(Xa, Xb) and np.array_equal(Ya, Yb)):
-        dev = max(float(np.max(np.abs(Xa - Xb))), float(np.max(np.abs(Ya - Yb))))
-        raise AssertionError(
-            f"product and bordered constructions disagree for {what} "
-            f"(max deviation {dev:.3e})")
-
-
-def fiedler_pencil(sigma, re, path="both"):
+def fiedler_pencil(sigma, re):
     """FP: lam * MS_{-m} - MS_sigma for a permutation sigma of {0:m-1}."""
     sigma = tuple(sigma)
-    m, n, r = re.m, re.n, re.r
+    m = re.m
     if sorted(sigma) != list(range(m)):
         raise RecipeError(f"sigma is not a permutation of {{0:{m - 1}}}: {sigma}")
     u = m - tp.inversions(sigma, 0)
     v = m - tp.consecutions(sigma, 0)
-    prov = {"family": "fp", "sigma": sigma, "path": path}
-
-    Xp = Yp = Xb = Yb = None
-    if path in ("product", "both"):
-        Xp = -_fiedler_product_S(sigma, re)
-        Yp = fiedler_matrix_S(-m, re)
-    if path in ("bordered", "both"):
-        XP = -_fiedler_product_P(sigma, re.P)
-        YP = fiedler_matrix_P(-m, re.P)
-        Xb, Yb = _border_dense(XP, YP, re, u, v)
-    if path == "both":
-        _paths_agree(Xp, Yp, Xb, Yb, f"FP sigma={sigma}")
-    X, Y = (Xb, Yb) if Xb is not None else (Xp, Yp)
-    return BlockPencil(X, Y, m, n, r, col_block=u, row_block=v, provenance=prov)
+    return _bordered(-_fiedler_product_P(sigma, re.P), fiedler_matrix_P(-m, re.P),
+                     re, u, v, {"family": "fp", "sigma": sigma})
 
 
 def gf_pencil(omega0, omega1, re):
     """GFP: lam * MS_{-omega1} - MS_{omega0} for a partition
     (omega0, omega1) of {0:m} with m in omega1."""
     omega0, omega1 = tuple(omega0), tuple(omega1)
-    m, n, r = re.m, re.n, re.r
+    m = re.m
     if sorted(omega0 + omega1) != list(range(m + 1)):
         raise RecipeError(f"(omega0, omega1) must partition {{0:{m}}}")
     if m not in omega1:
         raise RecipeError("m must belong to omega1 (no Fiedler factor M_m exists)")
     if 0 not in omega0:
         raise RecipeError("0 must belong to omega0 (proper GFP)")
-    X = -_fiedler_product_S(omega0, re)
-    Y = _fiedler_product_S(tp.neg(omega1), re)
     u = m - tp.inversions(omega0, 0)
     v = m - tp.consecutions(omega0, 0)
     prov = {"family": "gfp", "omega0": omega0, "omega1": omega1}
-    return BlockPencil(X, Y, m, n, r, col_block=u, row_block=v, provenance=prov)
+    return _bordered(-_fiedler_product_P(omega0, re.P),
+                     _fiedler_product_P(tp.neg(omega1), re.P), re, u, v, prov)
 
 
 def gfpr_poly(recipe, P):
@@ -277,31 +249,12 @@ def gfpr_poly(recipe, P):
     return BlockPencil(X, Y, m, n, 0, provenance=prov)
 
 
-def gfpr(recipe, re, path="both"):
-    """GFPR of G: the system-matrix product per the defining formula, or
-    the operation-free bordered form (C column at block m - i_0(sigma1,
-    sigma), B row at block m - c_0(sigma, sigma2)); ``both`` checks the
-    two agree and returns the bordered result."""
-    P = re.P
-    m, n, r = re.m, re.n, re.r
-    if m != recipe.m:
-        raise RecipeError(f"recipe degree {recipe.m} != realization degree {m}")
-    u = m - recipe.left_index()
-    v = m - recipe.right_index()
-    prov = {"family": "gfpr", "recipe": recipe, "path": path}
-
-    Xp = Yp = Xb = Yb = None
-    if path in ("product", "both"):
-        left = (_assign_product(recipe.tau1, _resolve_assignment(recipe.tau1, recipe.Y1, P), m, n, r)
-                @ _assign_product(recipe.sigma1, _resolve_assignment(recipe.sigma1, recipe.X1, P), m, n, r))
-        right = (_assign_product(recipe.sigma2, _resolve_assignment(recipe.sigma2, recipe.X2, P), m, n, r)
-                 @ _assign_product(recipe.tau2, _resolve_assignment(recipe.tau2, recipe.Y2, P), m, n, r))
-        Xp = left @ (-_fiedler_product_S(recipe.sigma, re)) @ right
-        Yp = left @ _fiedler_product_S(recipe.tau, re) @ right
-    if path in ("bordered", "both"):
-        Lp = gfpr_poly(recipe, P)
-        Xb, Yb = _border_dense(Lp.X, Lp.Y, re, u, v)
-    if path == "both":
-        _paths_agree(Xp, Yp, Xb, Yb, "GFPR")
-    X, Y = (Xb, Yb) if Xb is not None else (Xp, Yp)
-    return BlockPencil(X, Y, m, n, r, col_block=u, row_block=v, provenance=prov)
+def gfpr(recipe, re):
+    """GFPR of G: the polynomial GFPR of P in the operation-free bordered
+    form, C column at block m - i_0(sigma1, sigma) and B row at block
+    m - c_0(sigma, sigma2)."""
+    if re.m != recipe.m:
+        raise RecipeError(f"recipe degree {recipe.m} != realization degree {re.m}")
+    Lp = gfpr_poly(recipe, re.P)
+    return _bordered(Lp.X, Lp.Y, re, re.m - recipe.left_index(),
+                     re.m - recipe.right_index(), {"family": "gfpr", "recipe": recipe})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tuples as tp
-from .pencils import (BlockPencil, GfprRecipe, RecipeError, gfpr, gfpr_poly,
+from .pencils import (BlockPencil, GfprRecipe, RecipeError, gfpr,
                       trivial_assignment)
 from .polymat import (_STRUCTURE_RULES, _structure_tol, block_transpose_dense,
                       normalize_tag, quasi_identity_matrix, structure_check)
@@ -142,13 +142,13 @@ def symmetric_recipe(P, h, t_wh=(), t_vh=(), X=None, Y=None):
                       X1=X, X2=X2, Y1=Y, Y2=Y2)
 
 
-def block_symmetric_gfpr(re, h, t_wh=(), t_vh=(), X=None, Y=None, path="both"):
+def block_symmetric_gfpr(re, h, t_wh=(), t_vh=(), X=None, Y=None):
     """Block-symmetric GFPR of the realization; h must be even.  The
     borders coincide at block m - i_0(t_wh, w_h)."""
     recipe = symmetric_recipe(re.P, h, t_wh, t_vh, X, Y)
     if not recipe.assignments_nonsingular(re.P):
         raise RecipeError("assignment at an index 0 or -m position is singular")
-    L = gfpr(recipe, re, path=path)
+    L = gfpr(recipe, re)
     if L.col_block != L.row_block:
         raise AssertionError("block-symmetric GFPR borders disagree")
     mn = re.m * re.n
@@ -259,8 +259,9 @@ def _sign_normalized(re, recipe, target):
     target-structured, normalize so the border-block sign is +1, and
     return the scaled pencil."""
     L = gfpr(recipe, re)
-    LP = gfpr_poly(recipe, re.P)
-    qi = find_quasi_identity(LP, target)
+    mn = re.m * re.n
+    qi = find_quasi_identity(
+        BlockPencil(L.X[:mn, :mn], L.Y[:mn, :mn], re.m, re.n, 0), target)
     alpha = recipe.right_index()
     if recipe.left_index() != alpha:
         raise AssertionError(
@@ -367,8 +368,8 @@ def _cm_core(eval_fn, poles, delta, bound):
         for side, lam in (("-", p - d), ("+", p + d)):
             G = eval_fn(lam)
             if np.max(np.abs(G.imag)) > 1e-8 * max(np.max(np.abs(G)), 1.0):
-                raise ValueError(f"G({lam}) is not real; Cauchy-Maslov "
-                                 "index needs a real symmetric matrix")
+                raise StructuralViolation(f"G({lam}) is not real; Cauchy-Maslov "
+                                          "index needs a real symmetric matrix")
             ev = np.linalg.eigvalsh((G.real + G.real.T) / 2.0)
             jumps[side] = (int(np.sum(ev < -M)), int(np.sum(ev > M)))
         plus = min(jumps["-"][0], jumps["+"][1])    # -inf -> +inf

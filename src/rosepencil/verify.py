@@ -86,7 +86,7 @@ def det_poly(M, degree_bound=None, tol=1e-8, radius=2.0, size_bound=200):
     if pm.shape[0] != pm.shape[1]:
         raise ValueError("det_poly needs a square input")
     if pm.shape[0] > size_bound:
-        raise ValueError(f"size {pm.shape[0]} exceeds bound {size_bound}")
+        raise VerificationFailure(f"size {pm.shape[0]} exceeds bound {size_bound}")
     bound = _degree_bound(M) if degree_bound is None else degree_bound
     nodes = _chebyshev_nodes(bound + 1, radius)
     vals = np.array([np.linalg.det(pm(x)) for x in nodes])

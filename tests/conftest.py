@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from rosepencil.polymat import MatrixPolynomial
+from rosepencil.pencils import _fiedler_product_S, _resolve_assignment
+from rosepencil.polymat import MatrixPolynomial, elementary_matrix
 from rosepencil.realize import Realization, j_matrix, \
     make_structured_realization
 
@@ -94,6 +95,26 @@ def zero_corner_realization(rng, n=2, r=2, m=3, kind="general"):
     C[-1, :] = 0
     return Realization(P, C=C, E=re.E, A=re.A, B=B,
                        structure=re.structure)
+
+
+def product_gfpr(recipe, re):
+    """Test oracle for ``gfpr``: the (X, Y) of the defining product
+    M_{tau1}(Y1) M_{sigma1}(X1) (lam M^S_tau - M^S_sigma)
+    M_{sigma2}(X2) M_{tau2}(Y2), each factor diag(M_i(X_i), I_r)."""
+    mn = re.m * re.n
+
+    def factors(t, mats):
+        out = np.eye(mn + re.r, dtype=complex)
+        for i, X in zip(t, _resolve_assignment(t, mats, re.P)):
+            F = np.eye(mn + re.r, dtype=complex)
+            F[:mn, :mn] = elementary_matrix(i, X, re.m, re.n)
+            out = out @ F
+        return out
+
+    left = factors(recipe.tau1, recipe.Y1) @ factors(recipe.sigma1, recipe.X1)
+    right = factors(recipe.sigma2, recipe.X2) @ factors(recipe.tau2, recipe.Y2)
+    return (left @ (-_fiedler_product_S(recipe.sigma, re)) @ right,
+            left @ _fiedler_product_S(recipe.tau, re) @ right)
 
 
 def all_permutations(m):

@@ -32,7 +32,7 @@ from rosepencil.verify import (appendix_witnesses, det_proportionality,
                                minimal_basis_degree_sweep, multiset_distance,
                                pencil_eigenvalues)
 from conftest import (all_permutations, ints, make_realization, poly,
-                      zero_corner_realization)
+                      product_gfpr, zero_corner_realization)
 
 
 def _report(criterion, ok, detail, t0):
@@ -118,7 +118,8 @@ def test_criterion_3_quasi_identity():
 
 
 # ---------------------------------------------------------------------------
-# 4. dual-path GFPR equality, exact zero difference
+# 4. bordered GFPR against the system-matrix product oracle, exact zero
+#    difference
 
 def _simple_tuples(pool, max_len=2):
     out = [()]
@@ -156,14 +157,14 @@ def test_criterion_4_dual_path_gfpr():
                             X2=tuple(ints(rng, 1, 1) for _ in s2),
                             Y1=tuple(ints(rng, 1, 1) for _ in t1),
                             Y2=tuple(ints(rng, 1, 1) for _ in t2))
-                        Lp = gfpr(recipe, re, path="product")
-                        Lb = gfpr(recipe, re, path="bordered")
-                        if not (np.array_equal(Lp.X, Lb.X)
-                                and np.array_equal(Lp.Y, Lb.Y)):
+                        L = gfpr(recipe, re)
+                        X, Y = product_gfpr(recipe, re)
+                        if not (np.array_equal(L.X, X)
+                                and np.array_equal(L.Y, Y)):
                             ok = False
                     checked += 1
-    _report(4, ok, f"product == bordered exactly for {checked} valid "
-                   "recipes (m=4, h in 0..3, simple decorations of length "
+    _report(4, ok, f"bordered gfpr == product oracle exactly for {checked} "
+                   "valid recipes (m=4, h in 0..3, simple decorations of length "
                    "<= 2, 10 integer assignments each)", t0)
 
 

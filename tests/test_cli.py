@@ -188,6 +188,17 @@ def test_cm_index(capsys, tmp_path):
     assert json.loads(out)["cauchy_maslov_index"] == 1
 
 
+def test_cm_index_complex_symmetric_is_structural(capsys, tmp_path):
+    """A complex symmetric realization has no real G(lam) to count; the
+    refusal exits 4 (structural violation), not with a traceback."""
+    prob = _dump(tmp_path, "cm.json", {
+        "realization": {"kind": "symmetric", "P": [[[1]], [["0+1j"]], [[1]]],
+                        "A": [[2]], "B": [["1+1j"]], "E": [[1]]}})
+    code, out = run(capsys, "cm-index", "--problem", prob)
+    assert code == 4
+    assert out == ""
+
+
 def test_examples_list(capsys):
     code, out = run(capsys, "examples", "--list")
     assert code == 0

@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from rosepencil import tuples as tp
-from rosepencil.pencils import (GfprRecipe, RecipeError, fiedler_pencil,
-                                gf_pencil, gfpr, gfpr_poly,
+from rosepencil.pencils import (GfprRecipe, RecipeError,
+                                _fiedler_product_S as product_S,
+                                fiedler_pencil, gf_pencil, gfpr, gfpr_poly,
                                 trivial_assignment)
-from rosepencil.realize import system_matrix
+from rosepencil.polymat import MatrixPolynomial
+from rosepencil.realize import Realization, system_matrix
 from rosepencil.verify import det_proportionality
-from conftest import ints, make_realization
+from conftest import ints, make_realization, product_gfpr
 
 
 def test_fiedler_pencil_borders(rng):
@@ -47,12 +51,62 @@ def test_gfpr_paths_agree_exactly(rng):
     re = make_realization("general", rng, m=4)
     recipe = GfprRecipe(m=4, sigma=(1, 2, 3, 0), tau=(-4,), sigma2=(2, 1),
                         X2=(ints(rng, 2, 2), ints(rng, 2, 2)))
-    Lp = gfpr(recipe, re, path="product")
-    Lb = gfpr(recipe, re, path="bordered")
-    assert np.array_equal(Lp.X, Lb.X)
-    assert np.array_equal(Lp.Y, Lb.Y)
-    # path="both" asserts internally and must not raise
-    gfpr(recipe, re, path="both")
+    X, Y = product_gfpr(recipe, re)
+    L = gfpr(recipe, re)
+    assert np.array_equal(L.X, X)
+    assert np.array_equal(L.Y, Y)
+    assert "path" not in L.provenance
+
+
+def _gfp_orderings(m):
+    """Every proper (omega0, omega1): 0 in omega0, m in omega1, each
+    part in every order."""
+    mid = range(1, m)
+    for k in range(m):
+        for S in itertools.combinations(mid, k):
+            rest = [i for i in mid if i not in S]
+            for omega0 in itertools.permutations((0,) + S):
+                for omega1 in itertools.permutations(tuple(rest) + (m,)):
+                    yield omega0, omega1
+
+
+def test_fp_and_gfp_match_product_oracle():
+    """The bordered FP and GFP equal the products of system-matrix
+    Fiedler factors exactly, on real Gaussian data."""
+    rng = np.random.default_rng(2024)
+
+    def real_realization(m, n, r):
+        P = MatrixPolynomial([rng.normal(size=(n, n)) for _ in range(m + 1)])
+        return Realization(P, C=rng.normal(size=(n, r)), E=rng.normal(size=(r, r)),
+                           A=rng.normal(size=(r, r)), B=rng.normal(size=(r, n)))
+
+    def same(L, X, Y):
+        return np.array_equal(L.X, X) and np.array_equal(L.Y, Y)
+
+    count = 0
+    for m in (1, 2, 3, 4):
+        re = real_realization(m, 2, 2)
+        for sigma in itertools.permutations(range(m)):
+            assert same(fiedler_pencil(sigma, re), -product_S(sigma, re),
+                        product_S((-m,), re)), sigma
+            count += 1
+    for m in (3, 4):
+        re = real_realization(m, 2, 3)
+        for omega0, omega1 in _gfp_orderings(m):
+            assert same(gf_pencil(omega0, omega1, re), -product_S(omega0, re),
+                        product_S(tp.neg(omega1), re)), (omega0, omega1)
+            count += 1
+    assert count == 33 + 20 + 120
+    re = real_realization(8, 2, 3)
+    for _ in range(3):
+        sigma = tuple(int(i) for i in rng.permutation(8))
+        assert same(fiedler_pencil(sigma, re), -product_S(sigma, re),
+                    product_S((-8,), re)), sigma
+        mid = [int(i) for i in rng.permutation(range(1, 8))]
+        k = int(rng.integers(0, 8))
+        omega0, omega1 = (0, *mid[:k]), (*mid[k:], 8)
+        assert same(gf_pencil(omega0, omega1, re), -product_S(omega0, re),
+                    product_S(tp.neg(omega1), re)), (omega0, omega1)
 
 
 def test_gfpr_border_blocks(rng):

@@ -4,7 +4,7 @@ import pytest
 from rosepencil.polymat import (MatrixPolynomial, PolyMatrix, lambda_alpha,
                                 omega_alpha)
 from rosepencil.realize import system_matrix
-from rosepencil.pencils import fiedler_pencil
+from rosepencil.pencils import BlockPencil, fiedler_pencil
 from rosepencil.verify import (VerificationFailure, appendix_witnesses,
                                argument_principle_count, det_poly,
                                det_proportionality, eig_multiset,
@@ -28,6 +28,18 @@ def test_det_poly_known():
 def test_det_poly_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
         det_poly(PolyMatrix([np.ones((2, 3))]))
+
+
+def test_det_poly_size_refusal_is_verification_failure():
+    """Above size_bound the determinant oracles refuse with
+    VerificationFailure, which ``rosepencil verify`` reports as a failed
+    check, not with a bare ValueError."""
+    I = np.eye(201, dtype=complex)
+    L = BlockPencil(-2.0 * I, I, 1, 201, 0)   # det = (lam - 2)^201
+    with pytest.raises(VerificationFailure, match="exceeds bound 200"):
+        det_poly(L)
+    with pytest.raises(VerificationFailure, match="exceeds bound 200"):
+        det_proportionality(L, L)
 
 
 def test_det_proportionality(rng):
