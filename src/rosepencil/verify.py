@@ -1,9 +1,11 @@
-"""Numeric oracles and proxy checks.
+"""Numeric oracles and proxy checks, on LAPACK.
 
 Unimodular equivalence of a pencil to its system matrix is checked by
-proxy: both determinants are interpolated on a shared node set and must
-be proportional coefficientwise with equal degree; the structure at
-infinity is checked by rank chains and determinant-degree counts.
+proxy: det L(z) / det S(z), by slogdet at seeded random points, must be
+constant.  Eigenvalues come from QZ and are judged by their backward
+error.  The structure at infinity comes from rank chains and from
+N - deg det, the number of infinite eigenvalues, where deg det is the
+count of finite QZ eigenvalues.
 """
 
 import math
@@ -13,11 +15,12 @@ import numpy as np
 import scipy.linalg
 
 from . import tuples as tp
+from .pencils import fiedler_pencil
 from .polymat import PolyMatrix, lambda_alpha, omega_alpha, q_matrix, r_matrix
 
 __all__ = [
-    "DetPolynomial", "det_poly", "det_proportionality", "DetProportionality",
-    "pencil_eigenvalues", "nullspace_at", "minimal_basis_degree_sweep",
+    "det_proportionality", "DetProportionality", "pencil_eigenvalues",
+    "backward_errors", "nullspace_at", "minimal_basis_degree_sweep",
     "infinity_structure", "InfinityReport",
     "appendix_witnesses", "AppendixReport", "elimination_witness",
     "product_equal", "VerificationFailure", "argument_principle_count",
@@ -29,7 +32,7 @@ class VerificationFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# determinant interpolation
+# determinant proportionality
 
 def _as_polymat(M):
     if isinstance(M, PolyMatrix):
@@ -39,104 +42,39 @@ def _as_polymat(M):
     return PolyMatrix.constant(np.asarray(M, dtype=complex))
 
 
-def _degree_bound(M):
-    if hasattr(M, "re"):  # SystemMatrix
-        return M.re.n * M.re.m + M.re.r
-    if hasattr(M, "X") and hasattr(M, "Y"):  # BlockPencil
-        return M.X.shape[0]
-    pm = _as_polymat(M)
-    return pm.degree * pm.shape[0]
-
-
-def _chebyshev_nodes(count, radius):
-    k = np.arange(count)
-    return radius * np.cos(np.pi * (2 * k + 1) / (2 * count))
-
-
-def _divided_differences(x, f):
-    a = np.array(f, dtype=complex)
-    for j in range(1, len(x)):
-        a[j:] = (a[j:] - a[j - 1:-1]) / (x[j:] - x[:-j])
-    return a
-
-
-def _newton_eval(x, a, lam):
-    out = a[-1]
-    for k in range(len(a) - 2, -1, -1):
-        out = out * (lam - x[k]) + a[k]
-    return out
-
-
-@dataclass(frozen=True)
-class DetPolynomial:
-    nodes: np.ndarray          # interpolation nodes
-    newton: np.ndarray         # divided-difference coefficients
-    degree: int                # significant degree
-    scale: float               # max |det| over the fit nodes
-
-    def __call__(self, lam):
-        return _newton_eval(self.nodes, self.newton, lam)
-
-
-def det_poly(M, degree_bound=None, tol=1e-8, radius=2.0, size_bound=200):
-    """Interpolate det(M(lam)): LU determinants at degree_bound + 1 scaled
-    Chebyshev nodes, Newton divided differences, and 5 held-out nodes for
-    validation."""
-    pm = _as_polymat(M)
-    if pm.shape[0] != pm.shape[1]:
-        raise ValueError("det_poly needs a square input")
-    if pm.shape[0] > size_bound:
-        raise VerificationFailure(f"size {pm.shape[0]} exceeds bound {size_bound}")
-    bound = _degree_bound(M) if degree_bound is None else degree_bound
-    nodes = _chebyshev_nodes(bound + 1, radius)
-    vals = np.array([np.linalg.det(pm(x)) for x in nodes])
-    a = _divided_differences(nodes, vals)
-    amax = float(np.max(np.abs(a))) if len(a) else 0.0
-    deg = len(a) - 1
-    while deg > 0 and abs(a[deg]) <= tol * amax:
-        deg -= 1
-    scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    dp = DetPolynomial(nodes=nodes, newton=a, degree=deg, scale=scale)
-
-    held = radius * (0.83 + 0.11 * np.arange(5)) * np.exp(1j * (0.7 + np.arange(5)))
-    for x in held:
-        ref = np.linalg.det(pm(x))
-        err = abs(dp(x) - ref)
-        denom = max(scale, abs(ref), 1e-300)
-        if err > 1e3 * tol * denom:
-            raise VerificationFailure(
-                f"det interpolation failed held-out validation at {x}: "
-                f"relative residual {err / denom:.3e}")
-    return dp
+_DET_SEED = 7       # fixed evaluation points: the check is deterministic
+_DET_POINTS = 4
 
 
 @dataclass(frozen=True)
 class DetProportionality:
     constant: complex
     deviation: float
-    degree: int
 
 
 def det_proportionality(L, S, tol=1e-8):
-    """Check det L(lam) = c * det S(lam): shared-node Newton coefficients
-    must have equal significant degree and constant coefficientwise ratio."""
-    bound = max(_degree_bound(L), _degree_bound(S))
-    dL = det_poly(L, degree_bound=bound)
-    dS = det_poly(S, degree_bound=bound)
-    if dL.scale == 0.0 or dS.scale == 0.0:
-        raise VerificationFailure("near-zero determinant: singular input")
-    if dL.degree != dS.degree:
-        raise VerificationFailure(
-            f"determinant degree mismatch: {dL.degree} vs {dS.degree} "
-            "(strong-linearization proxy fails)")
-    aL, aS = dL.newton, dS.newton
-    k = int(np.argmax(np.abs(aS)))
-    c = aL[k] / aS[k]
-    dev = float(np.max(np.abs(aL - c * aS)) / np.max(np.abs(aL)))
+    """Check det L(lam) = c * det S(lam): log det L(z) - log det S(z), by
+    slogdet at seeded random complex z, must be constant in modulus (log
+    scale) and in phase to within tol.  A zero or non-finite determinant
+    is refused."""
+    rng = np.random.default_rng(_DET_SEED)
+    logs, phases = [], []
+    for _ in range(_DET_POINTS):
+        z = complex(rng.normal(), rng.normal())
+        sL, lL = np.linalg.slogdet(L(z))
+        sS, lS = np.linalg.slogdet(S(z))
+        if sL == 0 or sS == 0 or not np.isfinite(lL + lS):
+            raise VerificationFailure(
+                f"zero or non-finite determinant at {z:.3f}: singular input")
+        logs.append(lL - lS)
+        phases.append(sL / sS)
+    dev = float(max(max(logs) - min(logs),
+                    max(abs(p - phases[0]) for p in phases)))
     if dev > tol:
         raise VerificationFailure(
-            f"determinants not proportional: relative deviation {dev:.3e}")
-    return DetProportionality(constant=c, deviation=dev, degree=dL.degree)
+            f"determinants not proportional: ratio spread {dev:.3e}")
+    return DetProportionality(constant=complex(phases[0] * np.exp(logs[0])),
+                              deviation=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +134,20 @@ def multiset_distance(a, b):
     D = np.abs(np.subtract.outer(np.array(a), np.array(b)))
     rows, cols = scipy.optimize.linear_sum_assignment(D)
     return float(D[rows, cols].max())
+
+
+def backward_errors(M, eigenvalues):
+    """Normwise backward error of each z as an eigenvalue of the matrix
+    polynomial M = sum_j M_j lam^j (Tisseur 2000):
+    eta(z) = sigma_min(M(z)) / sum_j ||M_j||_2 |z|^j."""
+    pm = _as_polymat(M)
+    norms = [np.linalg.norm(pm.coeff(j), 2) for j in range(pm.degree + 1)]
+    out = []
+    for z in eigenvalues:
+        s = np.linalg.svd(pm(z), compute_uv=False)
+        scale = sum(c * abs(z) ** j for j, c in enumerate(norms))
+        out.append(float(s[-1]) / max(scale, 1e-300))
+    return out
 
 
 def argument_principle_count(X, Y, center=0.0, radius=10.0, samples=4096):
@@ -339,16 +291,23 @@ class InfinityReport:
     consistent: bool | None = None
 
 
-def infinity_structure(pencil, sys=None, tol=1e-10):
+def infinity_structure(pencil, sys=None, tol=1e-10, eigenvalues=None):
     """Rank chain of the leading coefficient and its Toeplitz extensions,
-    plus the infinite-eigenvalue count N - deg det; when a system matrix
-    is supplied, checks the count against N - deg det S."""
+    plus the infinite-eigenvalue count N - (finite QZ eigenvalues of the
+    pencil).  eigenvalues may pass in the pencil's `pencil_eigenvalues`
+    when the caller already has them.  When a system matrix is supplied,
+    the count is checked against N - (finite QZ eigenvalues of a
+    companion-form Fiedler pencil of S).  A singular pencil is refused
+    with VerificationFailure."""
     X, Y = pencil.X, pencil.Y
     N = X.shape[0]
 
     def num_rank(M):
         s = np.linalg.svd(M, compute_uv=False)
         return int(np.sum(s > tol * max(float(s[0]), 1e-300))) if s.size else 0
+
+    def inf_count(pairs):
+        return N - sum(k for _, k in pairs)
 
     ranks = []
     for k in range(1, 4):
@@ -358,14 +317,16 @@ def infinity_structure(pencil, sys=None, tol=1e-10):
             if i + 1 < k:
                 T[i * N: (i + 1) * N, (i + 1) * N: (i + 2) * N] = X
         ranks.append(num_rank(T))
-    inf_count = N - det_poly(pencil).degree
+    count = inf_count(pencil_eigenvalues(X, Y) if eigenvalues is None
+                      else eigenvalues)
     sys_count = None
     consistent = None
     if sys is not None:
-        sys_count = N - det_poly(sys).degree
-        consistent = (sys_count == inf_count)
+        companion = fiedler_pencil(tuple(range(sys.re.m)), sys.re)
+        sys_count = inf_count(pencil_eigenvalues(companion))
+        consistent = (sys_count == count)
     return InfinityReport(leading_rank=ranks[0], toeplitz_ranks=tuple(ranks),
-                          inf_count=inf_count, sys_inf_count=sys_count,
+                          inf_count=count, sys_inf_count=sys_count,
                           consistent=consistent)
 
 
@@ -399,16 +360,6 @@ def _unimodular_uv(alpha, P):
         U = Uj @ U
         V = V @ Vj
     return U, V
-
-
-def _block_transpose_poly(pm, m, n):
-    out = np.empty_like(pm.coeffs)
-    for k in range(pm.coeffs.shape[0]):
-        for i in range(m):
-            for j in range(m):
-                out[k, j * n: (j + 1) * n, i * n: (i + 1) * n] = \
-                    pm.coeffs[k, i * n: (i + 1) * n, j * n: (j + 1) * n]
-    return PolyMatrix(out)
 
 
 def elimination_witness(Xcol, Yrow, m, n, tol=1e-10):

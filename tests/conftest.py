@@ -5,10 +5,14 @@ import itertools
 import numpy as np
 import pytest
 
+from dataclasses import dataclass
+
 from rosepencil.pencils import _fiedler_product_S, _resolve_assignment
-from rosepencil.polymat import MatrixPolynomial, elementary_matrix
+from rosepencil.polymat import MatrixPolynomial, PolyMatrix, \
+    elementary_matrix
 from rosepencil.realize import Realization, j_matrix, \
     make_structured_realization
+from rosepencil.verify import VerificationFailure
 
 
 def ints(rng, rows, cols, lo=-3, hi=3):
@@ -115,6 +119,104 @@ def product_gfpr(recipe, re):
     right = factors(recipe.sigma2, recipe.X2) @ factors(recipe.tau2, recipe.Y2)
     return (left @ (-_fiedler_product_S(recipe.sigma, re)) @ right,
             left @ _fiedler_product_S(recipe.tau, re) @ right)
+
+
+def gaussian_skew_symmetric_realization(seed, m, n, r):
+    """Skew-symmetric realization with Gaussian data, drawn from
+    default_rng(seed) in a fixed order: P_0..P_m, B, A, then E = J + noise
+    (n and r even keep the skew leading coefficient and E nonsingular)."""
+    rng = np.random.default_rng(seed)
+
+    def skew(k):
+        M = rng.normal(size=(k, k))
+        return (M - M.T) / 2
+
+    P = MatrixPolynomial([skew(n).astype(complex) for _ in range(m + 1)])
+    B = rng.normal(size=(r, n))
+    A = skew(r)
+    E = j_matrix(r // 2) + 0.2 * skew(r)
+    return make_structured_realization("skew-symmetric", P, A, B, E=E)
+
+
+# ---------------------------------------------------------------------------
+# determinant interpolation: a small-N test oracle independent of LAPACK's
+# determinant ratios
+
+def _as_polymat(M):
+    if isinstance(M, PolyMatrix):
+        return M
+    if hasattr(M, "as_poly"):
+        return M.as_poly()
+    return PolyMatrix.constant(np.asarray(M, dtype=complex))
+
+
+def _degree_bound(M):
+    if hasattr(M, "re"):  # SystemMatrix
+        return M.re.n * M.re.m + M.re.r
+    if hasattr(M, "X") and hasattr(M, "Y"):  # BlockPencil
+        return M.X.shape[0]
+    pm = _as_polymat(M)
+    return pm.degree * pm.shape[0]
+
+
+def _chebyshev_nodes(count, radius):
+    k = np.arange(count)
+    return radius * np.cos(np.pi * (2 * k + 1) / (2 * count))
+
+
+def _divided_differences(x, f):
+    a = np.array(f, dtype=complex)
+    for j in range(1, len(x)):
+        a[j:] = (a[j:] - a[j - 1:-1]) / (x[j:] - x[:-j])
+    return a
+
+
+def _newton_eval(x, a, lam):
+    out = a[-1]
+    for k in range(len(a) - 2, -1, -1):
+        out = out * (lam - x[k]) + a[k]
+    return out
+
+
+@dataclass(frozen=True)
+class DetPolynomial:
+    nodes: np.ndarray          # interpolation nodes
+    newton: np.ndarray         # divided-difference coefficients
+    degree: int                # significant degree
+    scale: float               # max |det| over the fit nodes
+
+    def __call__(self, lam):
+        return _newton_eval(self.nodes, self.newton, lam)
+
+
+def det_poly(M, degree_bound=None, tol=1e-8, radius=2.0):
+    """Interpolate det(M(lam)): LU determinants at degree_bound + 1 scaled
+    Chebyshev nodes, Newton divided differences, and 5 held-out nodes for
+    validation.  Reliable for N up to about 25."""
+    pm = _as_polymat(M)
+    if pm.shape[0] != pm.shape[1]:
+        raise ValueError("det_poly needs a square input")
+    bound = _degree_bound(M) if degree_bound is None else degree_bound
+    nodes = _chebyshev_nodes(bound + 1, radius)
+    vals = np.array([np.linalg.det(pm(x)) for x in nodes])
+    a = _divided_differences(nodes, vals)
+    amax = float(np.max(np.abs(a))) if len(a) else 0.0
+    deg = len(a) - 1
+    while deg > 0 and abs(a[deg]) <= tol * amax:
+        deg -= 1
+    scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    dp = DetPolynomial(nodes=nodes, newton=a, degree=deg, scale=scale)
+
+    held = radius * (0.83 + 0.11 * np.arange(5)) * np.exp(1j * (0.7 + np.arange(5)))
+    for x in held:
+        ref = np.linalg.det(pm(x))
+        err = abs(dp(x) - ref)
+        denom = max(scale, abs(ref), 1e-300)
+        if err > 1e3 * tol * denom:
+            raise VerificationFailure(
+                f"det interpolation failed held-out validation at {x}: "
+                f"relative residual {err / denom:.3e}")
+    return dp
 
 
 def all_permutations(m):

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from rosepencil.cli import main
-from conftest import make_realization
+from rosepencil.cli import _pencil_out, main
+from rosepencil.pencils import fiedler_pencil
+from conftest import gaussian_skew_symmetric_realization, make_realization
 
 
 def run(capsys, *argv):
@@ -78,17 +79,87 @@ def test_verify_paranoid(capsys, tmp_path, sym_problem):
     assert "appendix-witnesses" in names
 
 
-def test_verify_detects_corruption(capsys, tmp_path, gen_problem):
+def _verify_corrupted(capsys, tmp_path, problem, corrupt):
+    """Exit code and failed check names of verify on a built GFPR pencil
+    whose X[0][0] entry is corrupted."""
     pencil = str(tmp_path / "pencil.json")
-    run(capsys, "build", "--kind", "gfpr", "--problem", gen_problem,
+    run(capsys, "build", "--kind", "gfpr", "--problem", problem,
         "--out", pencil)
     doc = json.loads((tmp_path / "pencil.json").read_text())
-    doc["X"][0][0] = 99.0
+    doc["X"][0][0] = corrupt(doc["X"][0][0])
     bad = _dump(tmp_path, "bad_pencil.json", doc)
-    code, out = run(capsys, "verify", "--problem", gen_problem,
-                    "--pencil", bad)
+    code, out = run(capsys, "verify", "--problem", problem, "--pencil", bad)
+    report = json.loads(out)
+    assert report["ok"] == (code == 0)
+    return code, {c["name"] for c in report["checks"] if not c["ok"]}
+
+
+def test_verify_detects_corruption(capsys, tmp_path, gen_problem):
+    code, failed = _verify_corrupted(capsys, tmp_path, gen_problem,
+                                     lambda v: 99.0)
     assert code == 6
-    assert not json.loads(out)["ok"]
+    assert "det-proportionality" in failed
+
+
+def test_verify_detects_small_corruption(capsys, tmp_path, gen_problem):
+    # X[0][0] += 1e-6 moves the determinant ratio by ~1e-7, above 1e-8
+    code, failed = _verify_corrupted(capsys, tmp_path, gen_problem,
+                                     lambda v: v + 1e-6)
+    assert code == 6
+    assert "det-proportionality" in failed
+
+
+def _realization_json(re):
+    return {"kind": re.structure,
+            "P": [re.P.coeff(j).real.tolist() for j in range(re.m + 1)],
+            "A": re.A.real.tolist(), "B": re.B.real.tolist(),
+            "E": re.E.real.tolist()}
+
+
+def test_verify_large_fiedler_pencil(capsys, tmp_path, rng):
+    # N = 66: every check passes, the infinity count included
+    re = make_realization("general", rng, m=8, n=7, r=10, ns_top=True)
+    L = fiedler_pencil(tuple(rng.permutation(8)), re)
+    real = {"kind": "general",
+            "P": [re.P.coeff(j).real.tolist() for j in range(9)],
+            "C": re.C.real.tolist(), "E": re.E.real.tolist(),
+            "A": re.A.real.tolist(), "B": re.B.real.tolist()}
+    problem = _dump(tmp_path, "problem.json", {"realization": real})
+    pencil = _dump(tmp_path, "pencil.json", _pencil_out(L))
+    code, out = run(capsys, "verify", "--problem", problem, "--pencil", pencil)
+    assert code == 0
+    checks = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+    assert checks["infinity-structure"]["inf_count"] == 0
+    assert checks["det-proportionality"]["deviation"] <= 1e-10
+
+
+def test_verify_skew_symmetric_large_eigenvalue(capsys, tmp_path):
+    # an eigenvalue near 93 with ||A_9|| ~ 0.01: judged by its backward
+    # error, not by sigma_min / sigma_max of S(z), it is exact
+    re = gaussian_skew_symmetric_realization(32009, 9, 2, 2)
+    problem = _dump(tmp_path, "problem.json",
+                    {"realization": _realization_json(re), "options": {"h": 0}})
+    pencil = str(tmp_path / "pencil.json")
+    code, _ = run(capsys, "build", "--kind", "structured:skew-symmetric",
+                  "--problem", problem, "--out", pencil)
+    assert code == 0
+    code, out = run(capsys, "verify", "--problem", problem, "--pencil", pencil)
+    assert code == 0
+    checks = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+    assert checks["eigenvalue-residual"]["max_backward_error"] <= 1e-12
+    assert checks["eigenvalue-residual"]["count"] == 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["eig", "--pencil", "p.json", "--tol", "1e-6"],
+    ["build", "--kind", "fp", "--problem", "p.json", "--seed", "3"],
+    ["eig", "--pencil", "p.json", "--paranoid"],
+])
+def test_flags_scoped_to_their_subcommands(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_structured_subcommand(capsys, sym_problem):

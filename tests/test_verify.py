@@ -3,16 +3,18 @@ import pytest
 
 from rosepencil.polymat import (MatrixPolynomial, PolyMatrix, lambda_alpha,
                                 omega_alpha)
-from rosepencil.realize import system_matrix
-from rosepencil.pencils import BlockPencil, fiedler_pencil
+from rosepencil.realize import Realization, system_matrix
+from rosepencil.pencils import BlockPencil, GfprRecipe, fiedler_pencil, gfpr
+from rosepencil.structured import skew_symmetric_linearization
 from rosepencil.verify import (VerificationFailure, appendix_witnesses,
-                               argument_principle_count, det_poly,
+                               argument_principle_count, backward_errors,
                                det_proportionality, eig_multiset,
                                elimination_witness, infinity_structure,
                                minimal_basis_degree_sweep, multiset_distance,
                                normal_rank, nullspace_at, pencil_eigenvalues,
                                product_equal)
-from conftest import all_permutations, ints, make_realization, poly, \
+from conftest import all_permutations, det_poly, \
+    gaussian_skew_symmetric_realization, ints, make_realization, poly, \
     zero_corner_realization
 
 
@@ -30,18 +32,6 @@ def test_det_poly_rejects_nonsquare():
         det_poly(PolyMatrix([np.ones((2, 3))]))
 
 
-def test_det_poly_size_refusal_is_verification_failure():
-    """Above size_bound the determinant oracles refuse with
-    VerificationFailure, which ``rosepencil verify`` reports as a failed
-    check, not with a bare ValueError."""
-    I = np.eye(201, dtype=complex)
-    L = BlockPencil(-2.0 * I, I, 1, 201, 0)   # det = (lam - 2)^201
-    with pytest.raises(VerificationFailure, match="exceeds bound 200"):
-        det_poly(L)
-    with pytest.raises(VerificationFailure, match="exceeds bound 200"):
-        det_proportionality(L, L)
-
-
 def test_det_proportionality(rng):
     S = poly(rng, 2, 3, ns_top=True)
     L = PolyMatrix(2.0 * S.coeffs)
@@ -49,8 +39,41 @@ def test_det_proportionality(rng):
     assert abs(rep.constant - 4.0) <= 1e-8
     assert rep.deviation <= 1e-10
     other = poly(rng, 2, 2, ns_top=True)
-    with pytest.raises(VerificationFailure):
+    with pytest.raises(VerificationFailure, match="not proportional"):
         det_proportionality(other, S)
+    singular = PolyMatrix(S.coeffs.copy())
+    singular.coeffs[:, :, -1] = 0
+    with pytest.raises(VerificationFailure, match="zero or non-finite"):
+        det_proportionality(singular, S)
+
+
+def _large_pencil(kind, rng, m, n, r):
+    re = make_realization("general", rng, m=m, n=n, r=r, ns_top=True)
+    if kind == "fp":
+        return fiedler_pencil(tuple(rng.permutation(m)), re), re
+    h = int(rng.integers(0, m))
+    sigma = tuple(int(v) for v in rng.permutation(h + 1))
+    tau = tuple(int(v) for v in rng.permutation(np.arange(-m, -h)))
+    return gfpr(GfprRecipe(m=m, sigma=sigma, tau=tau), re), re
+
+
+@pytest.mark.parametrize("kind", ["fp", "gfpr"])
+@pytest.mark.parametrize("m,n,r", [(6, 7, 6), (8, 7, 10)])
+def test_determinant_checks_large_pencils(kind, m, n, r, rng):
+    # N = 48 and 66, past the sizes where an interpolated determinant
+    # fails its own held-out validation
+    L, re = _large_pencil(kind, rng, m, n, r)
+    S = system_matrix(re)
+    assert det_proportionality(L, S).deviation <= 1e-10
+    rep = infinity_structure(L, S)
+    assert rep.consistent and rep.inf_count == 0
+
+
+def test_det_proportionality_n204(rng):
+    re = make_realization("general", rng, m=50, n=4, r=4, ns_top=True)
+    L = fiedler_pencil(tuple(rng.permutation(50)), re)
+    assert L.size == 204
+    assert det_proportionality(L, system_matrix(re)).deviation <= 1e-10
 
 
 def _relative_sigma_min(M):
@@ -155,6 +178,46 @@ def test_infinity_structure(rng):
     assert rep.consistent
     assert rep.inf_count == rep.sys_inf_count
     assert rep.leading_rank <= L.X.shape[0]
+    shared = infinity_structure(L, system_matrix(re),
+                                eigenvalues=pencil_eigenvalues(L))
+    assert shared == rep
+
+
+def test_infinity_structure_counts_infinite_eigenvalues():
+    # X + lam Y = diag(lam - 1, lam - 2, 1, 1): the last 2 x 2 block is
+    # constant, so N - deg det = 2, and the companion-form count of the
+    # same matrix polynomial agrees
+    X = np.diag([-1.0, -2.0, 1.0, 1.0]).astype(complex)
+    Y = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+    rep = infinity_structure(BlockPencil(X, Y, 1, 4, 0))
+    assert rep.inf_count == 2 and rep.leading_rank == 2
+    re = Realization(MatrixPolynomial([X, Y]), C=np.zeros((4, 0)),
+                     E=np.zeros((0, 0)), A=np.zeros((0, 0)), B=np.zeros((0, 4)))
+    rep = infinity_structure(BlockPencil(X, Y, 1, 4, 0), system_matrix(re))
+    assert rep.consistent and rep.sys_inf_count == 2
+
+
+def test_infinity_structure_refuses_singular_pencil(rng):
+    # the FP of a singular G has det L = 0 identically; counting finite
+    # eigenvalues there would report every eigenvalue as infinite
+    re = zero_corner_realization(rng, 3, 2, 3)
+    L = fiedler_pencil((0, 1, 2), re)
+    with pytest.raises(VerificationFailure, match="singular"):
+        infinity_structure(L, system_matrix(re))
+
+
+def test_backward_errors_skew_symmetric_large_eigenvalue():
+    # a skew-symmetric build with an eigenvalue near 93 and a small
+    # leading coefficient: the unscaled ratio sigma_min / sigma_max of
+    # S(z) is ~0.1 there, the backward error is at rounding level
+    re = gaussian_skew_symmetric_realization(32009, 9, 2, 2)
+    L = skew_symmetric_linearization(re, 0)
+    S = system_matrix(re)
+    eigs = eig_multiset(pencil_eigenvalues(L))
+    assert max(abs(z) for z in eigs) > 90
+    assert max(backward_errors(S, eigs)) <= 1e-12
+    # a point off the spectrum has a backward error of order one
+    assert backward_errors(S, [0.5 + 0.5j])[0] > 1e-3
 
 
 def test_appendix_witnesses_all_m3(rng):
