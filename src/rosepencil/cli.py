@@ -47,15 +47,12 @@ class SchemaError(ValueError):
 # JSON <-> matrices
 
 def _entry_in(v):
-    if isinstance(v, (int, float)):
-        z = complex(v)
-    elif isinstance(v, str):
-        try:
-            z = complex(v)
-        except ValueError as exc:
-            raise SchemaError(f"bad matrix entry {v!r}") from exc
-    else:
+    if not isinstance(v, (int, float, str)):
         raise SchemaError(f"bad matrix entry {v!r}")
+    try:
+        z = complex(v)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"bad matrix entry {v!r}") from exc
     if not cmath.isfinite(z):
         raise SchemaError(f"non-finite matrix entry {v!r}")
     return z
@@ -66,8 +63,16 @@ def _mat_in(obj, what="matrix"):
             isinstance(row, list) for row in obj):
         raise SchemaError(f"{what} must be a nested list")
     try:
-        return np.array([[_entry_in(v) for v in row] for row in obj],
-                        dtype=complex)
+        M = np.array(obj)
+    except ValueError:  # ragged
+        M = None
+    # all-number matrices convert in one call; the rest entry by entry
+    if (M is not None and M.ndim == 2 and M.dtype.kind in "iuf"
+            and np.isfinite(M).all()):
+        return M.astype(complex)
+    rows = [[_entry_in(v) for v in row] for row in obj]
+    try:
+        return np.array(rows, dtype=complex)
     except ValueError as exc:
         raise SchemaError(f"ragged {what}") from exc
 
@@ -80,7 +85,10 @@ def _entry_out(z):
 
 
 def _mat_out(M):
-    return [[_entry_out(v) for v in row] for row in np.asarray(M)]
+    M = np.asarray(M, dtype=complex)
+    if not M.imag.any():
+        return M.real.tolist()
+    return [[_entry_out(v) for v in row] for row in M]
 
 
 def _check_keys(obj, allowed, where):
@@ -115,7 +123,7 @@ def _parse_realization(obj):
     P = obj["P"]
     if not isinstance(P, list) or not P:
         raise SchemaError("P must be a list of coefficient matrices")
-    P = MatrixPolynomial([_mat_in(c, f"P[{k}]") for k, c in enumerate(P)])
+    coeffs = [_mat_in(c, f"P[{k}]") for k, c in enumerate(P)]
     A = _mat_in(obj["A"], "A")
     B = _mat_in(obj["B"], "B")
     E = _mat_in(obj["E"], "E") if "E" in obj else None
@@ -125,12 +133,19 @@ def _parse_realization(obj):
         C = _mat_in(obj["C"], "C")
         if E is None:
             E = np.eye(A.shape[0], dtype=complex)
-        return Realization(P, C=C, E=E, A=A, B=B)
-    if kind not in _STRUCTURED_KINDS:
+    elif kind not in _STRUCTURED_KINDS:
         raise SchemaError(f"unknown realization kind {kind!r}")
-    if "C" in obj:
+    elif "C" in obj:
         raise SchemaError(f"{kind} realization determines C; do not pass it")
-    return make_structured_realization(kind, P, A, B, E=E)
+    try:
+        P = MatrixPolynomial(coeffs)
+        if kind == "general":
+            return Realization(P, C=C, E=E, A=A, B=B)
+        return make_structured_realization(kind, P, A, B, E=E)
+    except StructuralViolation:
+        raise
+    except ValueError as exc:  # shapes, a singular E, a zero leading coefficient
+        raise SchemaError(f"bad realization: {exc}") from exc
 
 
 def _parse_recipe(obj):
@@ -404,6 +419,7 @@ def _common(sp):
     fmt.add_argument("--pretty", dest="pretty", action="store_true")
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(prog="rosepencil")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -415,14 +431,12 @@ def build_parser():
     sp.add_argument("--recipe")
     sp.add_argument("--h", type=int, default=None)
     _common(sp)
-    sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("structured", help="structured linearization")
     sp.add_argument("--kind", required=True, choices=_STRUCTURED_KINDS)
     sp.add_argument("--h", type=int, default=None)
     sp.add_argument("--spec", required=True)
     _common(sp)
-    sp.set_defaults(fn=cmd_structured)
 
     sp = sub.add_parser("verify", help="verification suite on a pencil")
     sp.add_argument("--problem", required=True)
@@ -430,7 +444,6 @@ def build_parser():
     sp.add_argument("--tol", type=float, default=None)
     sp.add_argument("--paranoid", action="store_true")
     _common(sp)
-    sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("recover", help="system/G-level vectors from a bundle")
     sp.add_argument("--pencil", required=True)
@@ -438,32 +451,30 @@ def build_parser():
     sp.add_argument("--recipe", required=True)
     sp.add_argument("--side", choices=("right", "left"), default="right")
     _common(sp)
-    sp.set_defaults(fn=cmd_recover)
 
     sp = sub.add_parser("eig", help="eigenvalues of a pencil")
     sp.add_argument("--pencil", required=True)
     _common(sp)
-    sp.set_defaults(fn=cmd_eig)
 
     sp = sub.add_parser("cm-index", help="Cauchy-Maslov index")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--delta", type=float, default=None)
     sp.add_argument("--bound", type=float, default=None)
     _common(sp)
-    sp.set_defaults(fn=cmd_cm_index)
 
     sp = sub.add_parser("examples", help="run the embedded example corpus")
     sp.add_argument("--list", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
     _common(sp)
-    sp.set_defaults(fn=cmd_examples)
     return ap
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # looked up at call time, so a patched module attribute is the one run
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.fn(args)
+        code = fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         code = EXIT_SCHEMA

@@ -109,10 +109,6 @@ def _check_even_h(m, h):
             "index 1 and no block-symmetric/structured construction exists")
 
 
-def _rev_assign(mats):
-    return None if mats is None else tp.rev(mats)
-
-
 def symmetric_recipe(P, h, t_wh=(), t_vh=(), X=None, Y=None):
     """The GFPR recipe of the block-symmetric family:
     sigma = w_h, tau = v_h, sigma1 = t_wh, sigma2 = (c_wh, rev t_wh),

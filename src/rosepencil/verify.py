@@ -3,9 +3,9 @@
 Unimodular equivalence of a pencil to its system matrix is checked by
 proxy: det L(z) / det S(z), by slogdet at seeded random points, must be
 constant.  Eigenvalues come from QZ and are judged by their backward
-error.  The structure at infinity comes from rank chains and from
-N - deg det, the number of infinite eigenvalues, where deg det is the
-count of finite QZ eigenvalues.
+error.  The structure at infinity is checked by N - deg det, the number
+of infinite eigenvalues, where deg det is the count of finite QZ
+eigenvalues, against the same count for a companion form of S.
 """
 
 import math
@@ -285,38 +285,27 @@ def minimal_basis_degree_sweep(W, tol=1e-8, seed=11, max_degree=None):
 @dataclass(frozen=True)
 class InfinityReport:
     leading_rank: int
-    toeplitz_ranks: tuple
     inf_count: int
     sys_inf_count: int | None = None
     consistent: bool | None = None
 
 
 def infinity_structure(pencil, sys=None, tol=1e-10, eigenvalues=None):
-    """Rank chain of the leading coefficient and its Toeplitz extensions,
-    plus the infinite-eigenvalue count N - (finite QZ eigenvalues of the
-    pencil).  eigenvalues may pass in the pencil's `pencil_eigenvalues`
-    when the caller already has them.  When a system matrix is supplied,
-    the count is checked against N - (finite QZ eigenvalues of a
-    companion-form Fiedler pencil of S).  A singular pencil is refused
-    with VerificationFailure."""
+    """Numerical rank of the leading coefficient Y, plus the
+    infinite-eigenvalue count N - (finite QZ eigenvalues of the pencil).
+    eigenvalues may pass in the pencil's `pencil_eigenvalues` when the
+    caller already has them.  When a system matrix is supplied, the count
+    is checked against N - (finite QZ eigenvalues of a companion-form
+    Fiedler pencil of S).  A singular pencil is refused with
+    VerificationFailure."""
     X, Y = pencil.X, pencil.Y
     N = X.shape[0]
-
-    def num_rank(M):
-        s = np.linalg.svd(M, compute_uv=False)
-        return int(np.sum(s > tol * max(float(s[0]), 1e-300))) if s.size else 0
 
     def inf_count(pairs):
         return N - sum(k for _, k in pairs)
 
-    ranks = []
-    for k in range(1, 4):
-        T = np.zeros((k * N, k * N), dtype=complex)
-        for i in range(k):
-            T[i * N: (i + 1) * N, i * N: (i + 1) * N] = Y
-            if i + 1 < k:
-                T[i * N: (i + 1) * N, (i + 1) * N: (i + 2) * N] = X
-        ranks.append(num_rank(T))
+    s = np.linalg.svd(np.asarray(Y, dtype=complex), compute_uv=False)
+    rank = int(np.sum(s > tol * max(float(s[0]), 1e-300))) if s.size else 0
     count = inf_count(pencil_eigenvalues(X, Y) if eigenvalues is None
                       else eigenvalues)
     sys_count = None
@@ -325,9 +314,8 @@ def infinity_structure(pencil, sys=None, tol=1e-10, eigenvalues=None):
         companion = fiedler_pencil(tuple(range(sys.re.m)), sys.re)
         sys_count = inf_count(pencil_eigenvalues(companion))
         consistent = (sys_count == count)
-    return InfinityReport(leading_rank=ranks[0], toeplitz_ranks=tuple(ranks),
-                          inf_count=count, sys_inf_count=sys_count,
-                          consistent=consistent)
+    return InfinityReport(leading_rank=rank, inf_count=count,
+                          sys_inf_count=sys_count, consistent=consistent)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,49 @@ def test_non_finite_entry_is_schema_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("X, message", [
+    ([[float("nan"), 0], [0, 1]], "non-finite matrix entry nan"),
+    ([["1+nanj", 0], [0, 1]], "non-finite matrix entry '1+nanj'"),
+    ([[10 ** 400, 0], [0, 1]], "bad matrix entry 1000"),
+    ([[1, 0], [0]], "ragged X"),
+    ([[1, 0], [0, None]], "bad matrix entry None"),
+])
+def test_bad_entry_message(capsys, tmp_path, X, message):
+    pencil = _dump(tmp_path, "pencil.json", {
+        "X": X, "Y": [[1, 0], [0, 1]], "m": 1, "n": 2, "r": 0})
+    with pytest.raises(SystemExit) as e:
+        main(["eig", "--pencil", pencil])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.startswith(f"schema error: {message}")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("C", [[0, 0, 1], [-3, 3, 1]]),     # C of the wrong shape
+    ("E", [[1, 2], [2, 4]]),            # singular E
+    ("P", [[[1, 0]], [[0, 1]]]),        # non-square coefficients
+])
+def test_bad_realization_is_schema_error(capsys, tmp_path, gen_problem, key,
+                                         value):
+    doc = json.loads(open(gen_problem).read())
+    doc["realization"][key] = value
+    prob = _dump(tmp_path, "bad.json", doc)
+    with pytest.raises(SystemExit) as e:
+        main(["build", "--kind", "fp", "--problem", prob])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.startswith("schema error: bad realization")
+
+
+def test_structural_violation_in_problem_exits_4(capsys, tmp_path):
+    # A is not symmetric: a refused hypothesis, not a schema error
+    prob = _dump(tmp_path, "sym.json", {
+        "realization": {"kind": "symmetric", "P": [[[0]], [[1]]],
+                        "A": [[1, 2], [0, 1]], "B": [[1], [1]]},
+        "options": {"h": 0}})
+    code, _ = run(capsys, "build", "--kind", "structured:symmetric",
+                  "--problem", prob)
+    assert code == 4
+
+
 def test_cm_index(capsys, tmp_path):
     prob = _dump(tmp_path, "cm.json", {
         "realization": {"kind": "symmetric", "P": [[[0]], [[1]]],
@@ -287,3 +330,70 @@ def test_pencil_json_roundtrip(capsys, tmp_path, gen_problem):
     # output JSON parses back through the input schema bit-for-bit
     from rosepencil.cli import _pencil_out
     assert _pencil_out(L) == doc
+
+
+# the per-entry conversions that _mat_in and _mat_out short-cut for
+# all-number and all-real matrices; the results must be bit-identical
+def _mat_in_reference(obj):
+    return np.array([[complex(v) for v in row] for row in obj], dtype=complex)
+
+
+def _mat_out_reference(M):
+    def entry(z):
+        z = complex(z)
+        return z.real if z.imag == 0.0 else repr(z).strip("()")
+    return [[entry(v) for v in row] for row in np.asarray(M)]
+
+
+@pytest.mark.parametrize("obj", [
+    [[1, -2], [3, 4]],
+    [[True, False], [False, True]],
+    [[True, 0.5], [2.0, False]],
+    [[True, 2], [-3, False]],
+    [[2 ** 63 + 1, 1], [2 ** 64 - 1, -(2 ** 63) - 5]],
+    [[3 ** 39, 2 ** 53 + 1], [-(2 ** 62) - 1, 7]],
+    [[2 ** 64 + 1, 1.5], [10 ** 300, -1]],
+    [[-0.0, 0.0], [1.5, -2]],
+    [[1e-310, -1e308], [0.1, 3]],
+    [["1+2j", "3"], ["-0.5j", "4e-3"]],
+    [[1, "2+1j"], [0.5, "7"]],
+    [[]],
+])
+def test_mat_in_matches_per_entry_reference(obj):
+    from rosepencil.cli import _mat_in
+    got, want = _mat_in(obj), _mat_in_reference(obj)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[1.5, -0.0], [0.0, -2.25]]),
+    np.array([[1, -2], [3, 4]]),
+    np.array([[0.1 - 0.0j, 2 + 0j], [-0.0 + 0j, 1e-300]]),
+    np.array([[1 + 2j, 3 + 0j], [-0.0 - 0.0j, 0.5 - 1e-20j]]),
+    np.array([[1j, -0.0 + 0j]]),
+])
+def test_mat_out_matches_per_entry_reference(M):
+    from rosepencil.cli import _mat_out
+    assert json.dumps(_mat_out(M)) == json.dumps(_mat_out_reference(M))
+
+
+def test_every_subcommand_has_a_handler():
+    import argparse
+    import rosepencil.cli as cli
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert len(sub.choices) == 7
+    for name in sub.choices:
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+
+
+def test_main_dispatches_to_the_module_attribute(capsys, monkeypatch):
+    # the parser is built once per process; a patched cmd_* still runs
+    import rosepencil.cli as cli
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eig", lambda args: seen.append(args.pencil) or 0)
+    assert run(capsys, "eig", "--pencil", "a.json")[0] == 0
+    assert run(capsys, "eig", "--pencil", "b.json")[0] == 0
+    assert seen == ["a.json", "b.json"]
+    assert cli.build_parser() is cli.build_parser()
