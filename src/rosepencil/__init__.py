@@ -4,7 +4,7 @@ of rational matrices given in state-space realization form.
 Subpackages/modules:
 
 - ``tuples``      index-tuple combinatorics (SIP, csf, consecutions, RCISS, ...)
-- ``polymat``     matrix polynomials, elementary/Fiedler matrices, block transpose
+- ``polymat``     matrix polynomials, elementary matrices, block transpose
 - ``realize``     realizations G(lam) = P(lam) + C (lam E - A)^{-1} B and system matrices
 - ``pencils``     FP / GFP / GFPR pencil builders (polynomial pencil of P, bordered)
 - ``structured``  block-symmetric, symmetric, T-even/T-odd, (skew-)Hamiltonian,

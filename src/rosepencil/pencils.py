@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tuples as tp
-from .polymat import (
-    PolyMatrix,
-    elementary_matrix,
-    fiedler_matrix_P,
-    fiedler_matrix_S,
-)
+from .polymat import PolyMatrix, elementary_matrix
 
 __all__ = [
     "BlockPencil", "GfprRecipe", "RecipeError",
@@ -89,21 +84,6 @@ def _assign_product(t, mats, m, n):
     out = np.eye(m * n, dtype=complex)
     for i, X in zip(t, mats):
         out = out @ elementary_matrix(i, X, m, n)
-    return out
-
-
-def _fiedler_product_P(t, P):
-    out = np.eye(P.m * P.n, dtype=complex)
-    for i in t:
-        out = out @ fiedler_matrix_P(i, P)
-    return out
-
-
-def _fiedler_product_S(t, re):
-    N = re.m * re.n + re.r
-    out = np.eye(N, dtype=complex)
-    for i in t:
-        out = out @ fiedler_matrix_S(i, re)
     return out
 
 
@@ -210,8 +190,9 @@ def fiedler_pencil(sigma, re):
         raise RecipeError(f"sigma is not a permutation of {{0:{m - 1}}}: {sigma}")
     u = m - tp.inversions(sigma, 0)
     v = m - tp.consecutions(sigma, 0)
-    return _bordered(-_fiedler_product_P(sigma, re.P), fiedler_matrix_P(-m, re.P),
-                     re, u, v, {"family": "fp", "sigma": sigma})
+    XP = -_assign_product(sigma, trivial_assignment(sigma, re.P), m, re.n)
+    return _bordered(XP, elementary_matrix(-m, re.P.coeff(m), m, re.n), re, u, v,
+                     {"family": "fp", "sigma": sigma})
 
 
 def gf_pencil(omega0, omega1, re):
@@ -228,8 +209,10 @@ def gf_pencil(omega0, omega1, re):
     u = m - tp.inversions(omega0, 0)
     v = m - tp.consecutions(omega0, 0)
     prov = {"family": "gfp", "omega0": omega0, "omega1": omega1}
-    return _bordered(-_fiedler_product_P(omega0, re.P),
-                     _fiedler_product_P(tp.neg(omega1), re.P), re, u, v, prov)
+    tau = tp.neg(omega1)
+    XP = -_assign_product(omega0, trivial_assignment(omega0, re.P), m, re.n)
+    YP = _assign_product(tau, trivial_assignment(tau, re.P), m, re.n)
+    return _bordered(XP, YP, re, u, v, prov)
 
 
 def gfpr_poly(recipe, P):
@@ -239,12 +222,14 @@ def gfpr_poly(recipe, P):
     m, n = P.m, P.n
     if m != recipe.m:
         raise RecipeError(f"recipe degree {recipe.m} != polynomial degree {m}")
-    left = (_assign_product(recipe.tau1, _resolve_assignment(recipe.tau1, recipe.Y1, P), m, n)
-            @ _assign_product(recipe.sigma1, _resolve_assignment(recipe.sigma1, recipe.X1, P), m, n))
-    right = (_assign_product(recipe.sigma2, _resolve_assignment(recipe.sigma2, recipe.X2, P), m, n)
-             @ _assign_product(recipe.tau2, _resolve_assignment(recipe.tau2, recipe.Y2, P), m, n))
-    X = left @ (-_fiedler_product_P(recipe.sigma, P)) @ right
-    Y = left @ _fiedler_product_P(recipe.tau, P) @ right
+
+    def product(t, mats=None):
+        return _assign_product(t, _resolve_assignment(t, mats, P), m, n)
+
+    left = product(recipe.tau1, recipe.Y1) @ product(recipe.sigma1, recipe.X1)
+    right = product(recipe.sigma2, recipe.X2) @ product(recipe.tau2, recipe.Y2)
+    X = left @ (-product(recipe.sigma)) @ right
+    Y = left @ product(recipe.tau) @ right
     prov = {"family": "gfpr-poly", "recipe": recipe}
     return BlockPencil(X, Y, m, n, 0, provenance=prov)
 

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tuples as tp
-
 __all__ = [
     "PolyMatrix", "MatrixPolynomial",
-    "elementary_matrix", "fiedler_matrix_P", "fiedler_matrix_S",
-    "block_transpose_dense",
-    "lambda_alpha", "omega_alpha", "q_matrix", "r_matrix",
+    "elementary_matrix", "block_transpose_dense",
     "structure_check", "StructureReport", "STRUCTURE_TAGS",
     "quasi_identity_matrix",
 ]
@@ -161,16 +157,9 @@ class MatrixPolynomial(PolyMatrix):
         """rev P(lam) = lam^m P(1/lam): reversed coefficient list."""
         return MatrixPolynomial(self.coeffs[::-1].copy())
 
-    def horner_shift(self, k):
-        """P_k(lam) = A_m lam^k + A_{m-1} lam^{k-1} + ... + A_{m-k};
-        P_0 = A_m and P_m = P."""
-        if not 0 <= k <= self.m:
-            raise ValueError(f"horner shift degree {k} out of range 0..{self.m}")
-        return PolyMatrix(self.coeffs[self.m - k:].copy())
-
 
 # ---------------------------------------------------------------------------
-# elementary and Fiedler matrices
+# elementary matrices
 
 def _blk(M, i, j, n):
     """1-based n x n block view of a dense matrix."""
@@ -205,38 +194,6 @@ def elementary_matrix(i, X, m, n):
     return M
 
 
-def fiedler_matrix_P(i, P):
-    """M_i^P = M_i(-A_i) for i >= 0 and M_i(A_{-i}) for i < 0."""
-    m, n = P.m, P.n
-    if i >= 0:
-        return elementary_matrix(i, -P.coeff(i), m, n)
-    return elementary_matrix(i, P.coeff(-i), m, n)
-
-
-def fiedler_matrix_S(i, re):
-    """System-matrix Fiedler factor of size mn + r.
-
-    i = 0 carries the -e_m (x) C column, -e_m^T (x) B row and -A corner;
-    i = -m is diag(M_{-m}(A_m), -E); all other i are diag(M_i^P, I_r).
-    """
-    P = re.P
-    m, n, r = P.m, P.n, re.r
-    N = m * n + r
-    M = np.zeros((N, N), dtype=complex)
-    if i == 0:
-        M[: m * n, : m * n] = fiedler_matrix_P(0, P)
-        M[(m - 1) * n: m * n, m * n:] = -re.C
-        M[m * n:, (m - 1) * n: m * n] = -re.B
-        M[m * n:, m * n:] = -re.A
-    elif i == -m:
-        M[: m * n, : m * n] = fiedler_matrix_P(-m, P)
-        M[m * n:, m * n:] = -re.E
-    else:
-        M[: m * n, : m * n] = fiedler_matrix_P(i, P)
-        M[m * n:, m * n:] = np.eye(r)
-    return M
-
-
 # ---------------------------------------------------------------------------
 # block transpose
 
@@ -250,86 +207,6 @@ def block_transpose_dense(M, m, n):
         for j in range(1, m + 1):
             _blk(out, j, i, n)[:] = _blk(M, i, j, n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Lambda / Omega witness columns and the Q / R unimodular factors
-
-def _lambda_row_powers(alpha):
-    rc = tp.rciss(alpha)
-    powers = []
-    for j in range(1, rc.ell + 1):
-        base = rc.m_partial(j - 1)
-        powers += [base + t for t in range(rc.c(j))]
-        powers += [None] * rc.i(j)
-    powers.append(rc.m_partial(rc.ell))
-    return powers
-
-
-def _omega_col_powers(alpha):
-    rc = tp.rciss(alpha)
-    powers = []
-    for j in range(1, rc.ell + 1):
-        base = rc.n_partial(j - 1)
-        powers += [None] * rc.c(j)
-        powers += [base + t for t in range(rc.i(j))]
-    powers.append(rc.n_partial(rc.ell))
-    return powers
-
-
-def lambda_alpha(alpha, n):
-    """Lambda_alpha(lam): mn x n column of monomial blocks driven by
-    RCISS(alpha); bottom block is lam^{m_l} I_n."""
-    powers = _lambda_row_powers(alpha)
-    m = len(powers)
-    deg = max(p for p in powers if p is not None)
-    coeffs = np.zeros((deg + 1, m * n, n), dtype=complex)
-    for k, p in enumerate(powers):
-        if p is not None:
-            coeffs[p, k * n: (k + 1) * n, :] = np.eye(n)
-    return PolyMatrix(coeffs)
-
-
-def omega_alpha(alpha, n):
-    """Omega_alpha(lam): n x mn row of monomial blocks; last block is
-    lam^{n_l} I_n."""
-    powers = _omega_col_powers(alpha)
-    m = len(powers)
-    deg = max(p for p in powers if p is not None)
-    coeffs = np.zeros((deg + 1, n, m * n), dtype=complex)
-    for k, p in enumerate(powers):
-        if p is not None:
-            coeffs[p, :, k * n: (k + 1) * n] = np.eye(n)
-    return PolyMatrix(coeffs)
-
-
-def q_matrix(i, m, n):
-    """Q_i(lam) = diag(I_{(i-1)n}, [[I, lam I], [0, I]], I_{(m-i-1)n})."""
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"q_matrix index {i} out of range 1..{m - 1}")
-    c0 = np.eye(m * n, dtype=complex)
-    c1 = np.zeros((m * n, m * n), dtype=complex)
-    _blk(c1, i, i + 1, n)[:] = np.eye(n)
-    return PolyMatrix([c0, c1])
-
-
-def r_matrix(i, P):
-    """R_i(lam) = diag(I_{(i-1)n}, [[0, I], [I, P_i(lam)]], I_{(m-i-1)n})
-    with P_i the Horner shift; satisfies R_i = R_i block-transposed."""
-    m, n = P.m, P.n
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"r_matrix index {i} out of range 1..{m - 1}")
-    Pi = P.horner_shift(i)
-    deg = Pi.coeffs.shape[0] - 1
-    coeffs = np.zeros((deg + 1, m * n, m * n), dtype=complex)
-    coeffs[0] = np.eye(m * n)
-    _blk(coeffs[0], i, i, n)[:] = 0
-    _blk(coeffs[0], i + 1, i + 1, n)[:] = 0
-    _blk(coeffs[0], i, i + 1, n)[:] = np.eye(n)
-    _blk(coeffs[0], i + 1, i, n)[:] = np.eye(n)
-    for k in range(deg + 1):
-        _blk(coeffs[k], i + 1, i + 1, n)[:] += Pi.coeff(k)
-    return PolyMatrix(coeffs)
 
 
 # ---------------------------------------------------------------------------

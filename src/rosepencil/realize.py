@@ -190,6 +190,8 @@ def make_structured_realization(kind, P, A, B, E=None, structure_exact=True):
     r = A.shape[0]
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
+    if E is None and kind in ("t-even", "skew-symmetric"):
+        raise ValueError(f"{kind} realization needs E")
 
     if kind == "symmetric":
         E = np.eye(r, dtype=complex) if E is None else np.asarray(E, dtype=complex)

@@ -9,21 +9,18 @@ eigenvalues, against the same count for a companion form of S.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from . import tuples as tp
 from .pencils import fiedler_pencil
-from .polymat import PolyMatrix, lambda_alpha, omega_alpha, q_matrix, r_matrix
+from .polymat import PolyMatrix
 
 __all__ = [
     "det_proportionality", "DetProportionality", "pencil_eigenvalues",
     "backward_errors", "nullspace_at", "minimal_basis_degree_sweep",
-    "infinity_structure", "InfinityReport",
-    "appendix_witnesses", "AppendixReport", "elimination_witness",
-    "product_equal", "VerificationFailure", "argument_principle_count",
+    "infinity_structure", "InfinityReport", "VerificationFailure",
 ]
 
 
@@ -148,16 +145,6 @@ def backward_errors(M, eigenvalues):
         scale = sum(c * abs(z) ** j for j, c in enumerate(norms))
         out.append(float(s[-1]) / max(scale, 1e-300))
     return out
-
-
-def argument_principle_count(X, Y, center=0.0, radius=10.0, samples=4096):
-    """Number of roots of det(X + lam Y) inside the circle, by winding
-    number of the determinant along the contour (independent oracle)."""
-    ang = 2 * np.pi * np.arange(samples + 1) / samples
-    pts = center + radius * np.exp(1j * ang)
-    vals = np.array([np.linalg.det(X + z * Y) for z in pts])
-    phase = np.unwrap(np.angle(vals))
-    return int(round((phase[-1] - phase[0]) / (2 * np.pi)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,140 +303,3 @@ def infinity_structure(pencil, sys=None, tol=1e-10, eigenvalues=None):
         consistent = (sys_count == count)
     return InfinityReport(leading_rank=rank, inf_count=count,
                           sys_inf_count=sys_count, consistent=consistent)
-
-
-# ---------------------------------------------------------------------------
-# appendix witness identities
-
-def _unimodular_uv(alpha, P):
-    """U and V products of the witness lemma from the RCISS of alpha."""
-    m, n = P.m, P.n
-    rc = tp.rciss(alpha)
-    eye = PolyMatrix.constant(np.eye(m * n))
-
-    def qB(i):
-        return q_matrix(i, m, n).transpose()  # block transpose = plain transpose here
-
-    U = eye
-    V = eye
-    for j in range(1, rc.ell + 1):
-        s0 = rc.s_partial(j - 1)
-        cj, ij = rc.c(j), rc.i(j)
-        Uj = eye
-        for i in range(s0 + cj + ij, s0 + cj, -1):
-            Uj = Uj @ r_matrix(i, P)          # R_i = R_i block-transposed
-        for i in range(s0 + cj, s0, -1):
-            Uj = Uj @ qB(i)
-        Vj = eye
-        for i in range(s0 + 1, s0 + cj + 1):
-            Vj = Vj @ r_matrix(i, P)
-        for i in range(s0 + cj + 1, s0 + cj + ij + 1):
-            Vj = Vj @ q_matrix(i, m, n)
-        U = Uj @ U
-        V = V @ Vj
-    return U, V
-
-
-def elimination_witness(Xcol, Yrow, m, n, tol=1e-10):
-    """Block-Gaussian identity: for Z = diag(I_{(m-1)n}, 0) + X Y with
-    monomial block column X and block row Y such that x_i y_i = 0 for
-    i < m, the unit triangular L, U with entries -Z_{i,j} satisfy
-    L Z U = diag(I_{(m-1)n}, x_m y_m).  Returns the max residual."""
-    Z = Xcol @ Yrow
-    base = np.zeros((m * n, m * n), dtype=complex)
-    base[: (m - 1) * n, : (m - 1) * n] = np.eye((m - 1) * n)
-    Z = Z + PolyMatrix.constant(base)
-
-    dz = Z.coeffs.shape[0]
-    Lc = np.zeros((dz, m * n, m * n), dtype=complex)
-    Uc = np.zeros((dz, m * n, m * n), dtype=complex)
-    Lc[0] = np.eye(m * n)
-    Uc[0] = np.eye(m * n)
-    for k in range(dz):
-        for i in range(m):
-            for j in range(m):
-                blkv = Z.coeffs[k, i * n: (i + 1) * n, j * n: (j + 1) * n]
-                if i > j:
-                    Lc[k, i * n: (i + 1) * n, j * n: (j + 1) * n] -= blkv
-                elif i < j:
-                    Uc[k, i * n: (i + 1) * n, j * n: (j + 1) * n] -= blkv
-    L = PolyMatrix(Lc)
-    U = PolyMatrix(Uc)
-    result = L @ Z @ U
-
-    xm = PolyMatrix(Xcol.coeffs[:, (m - 1) * n: m * n, :])
-    ym = PolyMatrix(Yrow.coeffs[:, :, (m - 1) * n: m * n])
-    tgt = xm @ ym
-    dmax = max(result.coeffs.shape[0], tgt.coeffs.shape[0])
-    res = 0.0
-    for k in range(dmax):
-        expect = np.zeros((m * n, m * n), dtype=complex)
-        if k == 0:
-            expect[: (m - 1) * n, : (m - 1) * n] = np.eye((m - 1) * n)
-        expect[(m - 1) * n:, (m - 1) * n:] = tgt.coeff(k)
-        res = max(res, float(np.max(np.abs(result.coeff(k) - expect))))
-    return res
-
-
-@dataclass(frozen=True)
-class AppendixReport:
-    ok: bool
-    lambda_residual: float
-    omega_residual: float
-    corollary_residual: float
-
-    def __bool__(self):
-        return self.ok
-
-    @property
-    def max_residual(self):
-        return max(self.lambda_residual, self.omega_residual,
-                   self.corollary_residual)
-
-
-def appendix_witnesses(alpha, P, seed=3, tol=1e-10):
-    """Check the witness identities: U (e_1 (x) I) = Lambda_alpha,
-    (e_1^T (x) I) V = Omega_alpha at 5 random lam, and the corollary
-    T1 (diag(I,0) + Lambda Omega) T2 = diag(I, lam^{m-1} I)."""
-    m, n = P.m, P.n
-    alpha = tuple(alpha)
-    U, V = _unimodular_uv(alpha, P)
-    lam_a = lambda_alpha(alpha, n)
-    ome_a = omega_alpha(alpha, n)
-    rng = np.random.default_rng(seed)
-    pts = [complex(rng.normal(), rng.normal()) for _ in range(5)]
-    e1 = np.zeros((m * n, n), dtype=complex)
-    e1[:n] = np.eye(n)
-    res_l = max(float(np.max(np.abs(U(z) @ e1 - lam_a(z)))) for z in pts)
-    res_o = max(float(np.max(np.abs(e1.T @ V(z) - ome_a(z)))) for z in pts)
-
-    res_c = elimination_witness(lam_a, ome_a, m, n, tol=tol)
-
-    ok = res_l <= tol and res_o <= tol and res_c <= tol
-    return AppendixReport(ok=ok, lambda_residual=res_l, omega_residual=res_o,
-                          corollary_residual=res_c)
-
-
-# ---------------------------------------------------------------------------
-# product equality
-
-def product_equal(t1, t2, context, a1=None, a2=None, tol=0.0):
-    """Exact/tolerance equality of the two Fiedler(-decorated) matrix
-    products; context is a MatrixPolynomial (mn products) or a
-    Realization (system-matrix products, trivial assignments only)."""
-    from .pencils import (_assign_product, _fiedler_product_S,
-                          _resolve_assignment)
-
-    if hasattr(context, "g_eval"):  # Realization
-        if a1 is not None or a2 is not None:
-            raise ValueError("system-matrix products take no assignments")
-        M1 = _fiedler_product_S(tuple(t1), context)
-        M2 = _fiedler_product_S(tuple(t2), context)
-    else:
-        P = context
-        m, n = P.m, P.n
-        M1 = _assign_product(tuple(t1), _resolve_assignment(tuple(t1), a1, P), m, n)
-        M2 = _assign_product(tuple(t2), _resolve_assignment(tuple(t2), a2, P), m, n)
-    if tol == 0.0:
-        return bool(np.array_equal(M1, M2))
-    return bool(np.max(np.abs(M1 - M2)) <= tol)

@@ -1,0 +1,290 @@
+"""Proof checks and the system-matrix product oracle.
+
+The witness identities of the paper's appendix, U (e_1 (x) I) =
+Lambda_alpha, (e_1^T (x) I) V = Omega_alpha and the block-elimination
+corollary, are facts about P alone; the tests check them here.  The
+product of system-matrix Fiedler factors is the reference the bordered
+builders of ``rosepencil.pencils`` are compared against.  Nothing in
+the library calls this module.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from rosepencil import tuples as tp
+from rosepencil.pencils import _assign_product, _resolve_assignment
+from rosepencil.polymat import PolyMatrix, _blk, elementary_matrix
+
+
+# ---------------------------------------------------------------------------
+# Horner shifts, Lambda / Omega witness columns and the Q / R unimodular
+# factors
+
+def horner_shift(P, k):
+    """P_k(lam) = A_m lam^k + A_{m-1} lam^{k-1} + ... + A_{m-k};
+    P_0 = A_m and P_m = P."""
+    if not 0 <= k <= P.m:
+        raise ValueError(f"horner shift degree {k} out of range 0..{P.m}")
+    return PolyMatrix(P.coeffs[P.m - k:].copy())
+
+
+def _lambda_row_powers(alpha):
+    rc = tp.rciss(alpha)
+    powers = []
+    for j in range(1, rc.ell + 1):
+        base = rc.m_partial(j - 1)
+        powers += [base + t for t in range(rc.c(j))]
+        powers += [None] * rc.i(j)
+    powers.append(rc.m_partial(rc.ell))
+    return powers
+
+
+def _omega_col_powers(alpha):
+    rc = tp.rciss(alpha)
+    powers = []
+    for j in range(1, rc.ell + 1):
+        base = rc.n_partial(j - 1)
+        powers += [None] * rc.c(j)
+        powers += [base + t for t in range(rc.i(j))]
+    powers.append(rc.n_partial(rc.ell))
+    return powers
+
+
+def lambda_alpha(alpha, n):
+    """Lambda_alpha(lam): mn x n column of monomial blocks driven by
+    RCISS(alpha); bottom block is lam^{m_l} I_n."""
+    powers = _lambda_row_powers(alpha)
+    m = len(powers)
+    deg = max(p for p in powers if p is not None)
+    coeffs = np.zeros((deg + 1, m * n, n), dtype=complex)
+    for k, p in enumerate(powers):
+        if p is not None:
+            coeffs[p, k * n: (k + 1) * n, :] = np.eye(n)
+    return PolyMatrix(coeffs)
+
+
+def omega_alpha(alpha, n):
+    """Omega_alpha(lam): n x mn row of monomial blocks; last block is
+    lam^{n_l} I_n."""
+    powers = _omega_col_powers(alpha)
+    m = len(powers)
+    deg = max(p for p in powers if p is not None)
+    coeffs = np.zeros((deg + 1, n, m * n), dtype=complex)
+    for k, p in enumerate(powers):
+        if p is not None:
+            coeffs[p, :, k * n: (k + 1) * n] = np.eye(n)
+    return PolyMatrix(coeffs)
+
+
+def q_matrix(i, m, n):
+    """Q_i(lam) = diag(I_{(i-1)n}, [[I, lam I], [0, I]], I_{(m-i-1)n})."""
+    if not 1 <= i <= m - 1:
+        raise ValueError(f"q_matrix index {i} out of range 1..{m - 1}")
+    c0 = np.eye(m * n, dtype=complex)
+    c1 = np.zeros((m * n, m * n), dtype=complex)
+    _blk(c1, i, i + 1, n)[:] = np.eye(n)
+    return PolyMatrix([c0, c1])
+
+
+def r_matrix(i, P):
+    """R_i(lam) = diag(I_{(i-1)n}, [[0, I], [I, P_i(lam)]], I_{(m-i-1)n})
+    with P_i the Horner shift; satisfies R_i = R_i block-transposed."""
+    m, n = P.m, P.n
+    if not 1 <= i <= m - 1:
+        raise ValueError(f"r_matrix index {i} out of range 1..{m - 1}")
+    Pi = horner_shift(P, i)
+    deg = Pi.coeffs.shape[0] - 1
+    coeffs = np.zeros((deg + 1, m * n, m * n), dtype=complex)
+    coeffs[0] = np.eye(m * n)
+    _blk(coeffs[0], i, i, n)[:] = 0
+    _blk(coeffs[0], i + 1, i + 1, n)[:] = 0
+    _blk(coeffs[0], i, i + 1, n)[:] = np.eye(n)
+    _blk(coeffs[0], i + 1, i, n)[:] = np.eye(n)
+    for k in range(deg + 1):
+        _blk(coeffs[k], i + 1, i + 1, n)[:] += Pi.coeff(k)
+    return PolyMatrix(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# appendix witness identities
+
+def _unimodular_uv(alpha, P):
+    """U and V products of the witness lemma from the RCISS of alpha."""
+    m, n = P.m, P.n
+    rc = tp.rciss(alpha)
+    eye = PolyMatrix.constant(np.eye(m * n))
+
+    def qB(i):
+        return q_matrix(i, m, n).transpose()  # block transpose = plain transpose here
+
+    U = eye
+    V = eye
+    for j in range(1, rc.ell + 1):
+        s0 = rc.s_partial(j - 1)
+        cj, ij = rc.c(j), rc.i(j)
+        Uj = eye
+        for i in range(s0 + cj + ij, s0 + cj, -1):
+            Uj = Uj @ r_matrix(i, P)          # R_i = R_i block-transposed
+        for i in range(s0 + cj, s0, -1):
+            Uj = Uj @ qB(i)
+        Vj = eye
+        for i in range(s0 + 1, s0 + cj + 1):
+            Vj = Vj @ r_matrix(i, P)
+        for i in range(s0 + cj + 1, s0 + cj + ij + 1):
+            Vj = Vj @ q_matrix(i, m, n)
+        U = Uj @ U
+        V = V @ Vj
+    return U, V
+
+
+def elimination_witness(Xcol, Yrow, m, n, tol=1e-10):
+    """Block-Gaussian identity: for Z = diag(I_{(m-1)n}, 0) + X Y with
+    monomial block column X and block row Y such that x_i y_i = 0 for
+    i < m, the unit triangular L, U with entries -Z_{i,j} satisfy
+    L Z U = diag(I_{(m-1)n}, x_m y_m).  Returns the max residual."""
+    Z = Xcol @ Yrow
+    base = np.zeros((m * n, m * n), dtype=complex)
+    base[: (m - 1) * n, : (m - 1) * n] = np.eye((m - 1) * n)
+    Z = Z + PolyMatrix.constant(base)
+
+    dz = Z.coeffs.shape[0]
+    Lc = np.zeros((dz, m * n, m * n), dtype=complex)
+    Uc = np.zeros((dz, m * n, m * n), dtype=complex)
+    Lc[0] = np.eye(m * n)
+    Uc[0] = np.eye(m * n)
+    for k in range(dz):
+        for i in range(m):
+            for j in range(m):
+                blkv = Z.coeffs[k, i * n: (i + 1) * n, j * n: (j + 1) * n]
+                if i > j:
+                    Lc[k, i * n: (i + 1) * n, j * n: (j + 1) * n] -= blkv
+                elif i < j:
+                    Uc[k, i * n: (i + 1) * n, j * n: (j + 1) * n] -= blkv
+    L = PolyMatrix(Lc)
+    U = PolyMatrix(Uc)
+    result = L @ Z @ U
+
+    xm = PolyMatrix(Xcol.coeffs[:, (m - 1) * n: m * n, :])
+    ym = PolyMatrix(Yrow.coeffs[:, :, (m - 1) * n: m * n])
+    tgt = xm @ ym
+    dmax = max(result.coeffs.shape[0], tgt.coeffs.shape[0])
+    res = 0.0
+    for k in range(dmax):
+        expect = np.zeros((m * n, m * n), dtype=complex)
+        if k == 0:
+            expect[: (m - 1) * n, : (m - 1) * n] = np.eye((m - 1) * n)
+        expect[(m - 1) * n:, (m - 1) * n:] = tgt.coeff(k)
+        res = max(res, float(np.max(np.abs(result.coeff(k) - expect))))
+    return res
+
+
+@dataclass(frozen=True)
+class AppendixReport:
+    ok: bool
+    lambda_residual: float
+    omega_residual: float
+    corollary_residual: float
+
+    def __bool__(self):
+        return self.ok
+
+    @property
+    def max_residual(self):
+        return max(self.lambda_residual, self.omega_residual,
+                   self.corollary_residual)
+
+
+def appendix_witnesses(alpha, P, seed=3, tol=1e-10):
+    """Check the witness identities: U (e_1 (x) I) = Lambda_alpha,
+    (e_1^T (x) I) V = Omega_alpha at 5 random lam, and the corollary
+    T1 (diag(I,0) + Lambda Omega) T2 = diag(I, lam^{m-1} I)."""
+    m, n = P.m, P.n
+    alpha = tuple(alpha)
+    U, V = _unimodular_uv(alpha, P)
+    lam_a = lambda_alpha(alpha, n)
+    ome_a = omega_alpha(alpha, n)
+    rng = np.random.default_rng(seed)
+    pts = [complex(rng.normal(), rng.normal()) for _ in range(5)]
+    e1 = np.zeros((m * n, n), dtype=complex)
+    e1[:n] = np.eye(n)
+    res_l = max(float(np.max(np.abs(U(z) @ e1 - lam_a(z)))) for z in pts)
+    res_o = max(float(np.max(np.abs(e1.T @ V(z) - ome_a(z)))) for z in pts)
+
+    res_c = elimination_witness(lam_a, ome_a, m, n, tol=tol)
+
+    ok = res_l <= tol and res_o <= tol and res_c <= tol
+    return AppendixReport(ok=ok, lambda_residual=res_l, omega_residual=res_o,
+                          corollary_residual=res_c)
+
+
+def argument_principle_count(X, Y, center=0.0, radius=10.0, samples=4096):
+    """Number of roots of det(X + lam Y) inside the circle, by winding
+    number of the determinant along the contour (independent oracle)."""
+    ang = 2 * np.pi * np.arange(samples + 1) / samples
+    pts = center + radius * np.exp(1j * ang)
+    vals = np.array([np.linalg.det(X + z * Y) for z in pts])
+    phase = np.unwrap(np.angle(vals))
+    return int(round((phase[-1] - phase[0]) / (2 * np.pi)))
+
+
+# ---------------------------------------------------------------------------
+# Fiedler factors of P and S, and product equality
+
+def fiedler_matrix_P(i, P):
+    """M_i^P = M_i(-A_i) for i >= 0 and M_i(A_{-i}) for i < 0."""
+    m, n = P.m, P.n
+    if i >= 0:
+        return elementary_matrix(i, -P.coeff(i), m, n)
+    return elementary_matrix(i, P.coeff(-i), m, n)
+
+
+def fiedler_matrix_S(i, re):
+    """System-matrix Fiedler factor of size mn + r.
+
+    i = 0 carries the -e_m (x) C column, -e_m^T (x) B row and -A corner;
+    i = -m is diag(M_{-m}(A_m), -E); all other i are diag(M_i^P, I_r).
+    """
+    P = re.P
+    m, n, r = P.m, P.n, re.r
+    N = m * n + r
+    M = np.zeros((N, N), dtype=complex)
+    if i == 0:
+        M[: m * n, : m * n] = fiedler_matrix_P(0, P)
+        M[(m - 1) * n: m * n, m * n:] = -re.C
+        M[m * n:, (m - 1) * n: m * n] = -re.B
+        M[m * n:, m * n:] = -re.A
+    elif i == -m:
+        M[: m * n, : m * n] = fiedler_matrix_P(-m, P)
+        M[m * n:, m * n:] = -re.E
+    else:
+        M[: m * n, : m * n] = fiedler_matrix_P(i, P)
+        M[m * n:, m * n:] = np.eye(r)
+    return M
+
+
+def _fiedler_product_S(t, re):
+    N = re.m * re.n + re.r
+    out = np.eye(N, dtype=complex)
+    for i in t:
+        out = out @ fiedler_matrix_S(i, re)
+    return out
+
+
+def product_equal(t1, t2, context, a1=None, a2=None, tol=0.0):
+    """Exact/tolerance equality of the two Fiedler(-decorated) matrix
+    products; context is a MatrixPolynomial (mn products) or a
+    Realization (system-matrix products, trivial assignments only)."""
+    if hasattr(context, "g_eval"):  # Realization
+        if a1 is not None or a2 is not None:
+            raise ValueError("system-matrix products take no assignments")
+        M1 = _fiedler_product_S(tuple(t1), context)
+        M2 = _fiedler_product_S(tuple(t2), context)
+    else:
+        P = context
+        m, n = P.m, P.n
+        M1 = _assign_product(tuple(t1), _resolve_assignment(tuple(t1), a1, P), m, n)
+        M2 = _assign_product(tuple(t2), _resolve_assignment(tuple(t2), a2, P), m, n)
+    if tol == 0.0:
+        return bool(np.array_equal(M1, M2))
+    return bool(np.max(np.abs(M1 - M2)) <= tol)

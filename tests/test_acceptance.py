@@ -14,8 +14,7 @@ import scipy.linalg
 from rosepencil import tuples as tp
 from rosepencil.pencils import (GfprRecipe, RecipeError, fiedler_pencil,
                                 gf_pencil, gfpr, gfpr_poly)
-from rosepencil.polymat import (MatrixPolynomial, PolyMatrix, lambda_alpha,
-                                omega_alpha, structure_check)
+from rosepencil.polymat import MatrixPolynomial, PolyMatrix, structure_check
 from rosepencil.realize import (Realization, StructuralViolation, jay,
                                 system_matrix)
 from rosepencil.recover import (eigenvector_bundle, recover_from_gfpr,
@@ -27,12 +26,13 @@ from rosepencil.structured import (_even_odd_recipe, cauchy_maslov_index,
                                    skew_symmetric_linearization,
                                    symmetric_linearization,
                                    t_even_linearization, t_odd_linearization)
-from rosepencil.verify import (appendix_witnesses, det_proportionality,
-                               eig_multiset, elimination_witness,
+from rosepencil.verify import (det_proportionality, eig_multiset,
                                minimal_basis_degree_sweep, multiset_distance,
                                pencil_eigenvalues)
 from conftest import (all_permutations, ints, make_realization, poly,
                       product_gfpr, zero_corner_realization)
+from lemma_oracles import (appendix_witnesses, elimination_witness,
+                           lambda_alpha, omega_alpha)
 
 
 def _report(criterion, ok, detail, t0):

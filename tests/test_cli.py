@@ -68,17 +68,6 @@ def test_build_gfpr_and_verify_roundtrip(capsys, tmp_path, gen_problem):
     assert doc["ok"] and all(c["ok"] for c in doc["checks"])
 
 
-def test_verify_paranoid(capsys, tmp_path, sym_problem):
-    pencil = str(tmp_path / "p.json")
-    run(capsys, "build", "--kind", "structured:symmetric",
-        "--problem", sym_problem, "--out", pencil)
-    code, out = run(capsys, "verify", "--problem", sym_problem,
-                    "--pencil", pencil, "--paranoid")
-    assert code == 0
-    names = [c["name"] for c in json.loads(out)["checks"]]
-    assert "appendix-witnesses" in names
-
-
 def _verify_corrupted(capsys, tmp_path, problem, corrupt):
     """Exit code and failed check names of verify on a built GFPR pencil
     whose X[0][0] entry is corrupted."""
@@ -154,6 +143,7 @@ def test_verify_skew_symmetric_large_eigenvalue(capsys, tmp_path):
     ["eig", "--pencil", "p.json", "--tol", "1e-6"],
     ["build", "--kind", "fp", "--problem", "p.json", "--seed", "3"],
     ["eig", "--pencil", "p.json", "--paranoid"],
+    ["verify", "--problem", "p.json", "--pencil", "p.json", "--paranoid"],
 ])
 def test_flags_scoped_to_their_subcommands(capsys, argv):
     with pytest.raises(SystemExit) as e:
@@ -169,6 +159,36 @@ def test_structured_subcommand(capsys, sym_problem):
     rep = json.loads(out)["structure_report"]
     assert rep["ok"] and rep["tag"] == "symmetric"
     assert rep["deviation"] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "t-even", "t-odd", "hamiltonian",
+                                  "skew-hamiltonian", "skew-symmetric"])
+def test_structured_report_on_every_kind(capsys, tmp_path, rng, kind):
+    # the two Hamiltonian kinds are judged through diag(I_mn, J) L
+    real = _realization_json(make_realization(kind, rng))
+    if kind in ("t-odd", "hamiltonian", "skew-hamiltonian"):
+        del real["E"]  # these kinds fix E
+    spec = _dump(tmp_path, "spec.json", {"realization": real})
+    code, out = run(capsys, "structured", "--kind", kind, "--h", "0",
+                    "--spec", spec)
+    assert code == 0
+    rep = json.loads(out)["structure_report"]
+    assert rep["ok"] and rep["deviation"] == 0.0
+
+
+@pytest.mark.parametrize("kind,real", [
+    ("t-even", {"P": [[[1]], [[0]], [[1]]], "A": [[1, 0], [0, 1]],
+                "B": [[1], [1]]}),
+    ("skew-symmetric", {"P": [[[0, 1], [-1, 0]], [[0, 2], [-2, 0]]],
+                        "A": [[0, 1], [-1, 0]], "B": [[1, 0], [0, 1]]}),
+])
+def test_missing_e_is_a_schema_error(capsys, tmp_path, kind, real):
+    problem = _dump(tmp_path, "prob.json",
+                    {"realization": dict(real, kind=kind)})
+    with pytest.raises(SystemExit) as e:
+        main(["build", "--kind", "structured:" + kind, "--problem", problem])
+    assert e.value.code == 2
+    assert f"{kind} realization needs E" in capsys.readouterr().err
 
 
 def test_odd_h_exit_code(capsys, sym_problem):

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from rosepencil import tuples as tp
-from rosepencil.pencils import (GfprRecipe, RecipeError,
-                                _fiedler_product_S as product_S,
-                                fiedler_pencil, gf_pencil, gfpr, gfpr_poly,
+from rosepencil.pencils import (GfprRecipe, RecipeError, fiedler_pencil,
+                                gf_pencil, gfpr, gfpr_poly,
                                 trivial_assignment)
 from rosepencil.polymat import MatrixPolynomial
 from rosepencil.realize import Realization, system_matrix
 from rosepencil.verify import det_proportionality
 from conftest import ints, make_realization, product_gfpr
+from lemma_oracles import _fiedler_product_S as product_S
 
 
 def test_fiedler_pencil_borders(rng):

@@ -4,10 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from rosepencil.polymat import (MatrixPolynomial, PolyMatrix,
                                 block_transpose_dense, elementary_matrix,
-                                fiedler_matrix_P, fiedler_matrix_S,
-                                lambda_alpha, omega_alpha,
                                 quasi_identity_matrix, structure_check)
 from conftest import ints, make_realization, poly, square
+from lemma_oracles import fiedler_matrix_P, fiedler_matrix_S, horner_shift, \
+    lambda_alpha, omega_alpha
 
 
 def test_polymat_eval_and_ops(rng):
@@ -30,12 +30,12 @@ def test_matrix_polynomial_rev_horner(rng):
     P = poly(rng, 2, 3)
     lam = 0.4 + 1.1j
     assert np.allclose(P.rev()(lam), lam ** 3 * P(1.0 / lam))
-    assert np.allclose(P.horner_shift(0)(lam), P.coeff(3))
-    assert P.horner_shift(3).equals(P)
+    assert np.allclose(horner_shift(P, 0)(lam), P.coeff(3))
+    assert horner_shift(P, 3).equals(P)
     # P_{k+1} = lam * P_k + A_{m-k-1}
     for k in range(3):
-        want = lam * P.horner_shift(k)(lam) + P.coeff(3 - k - 1)
-        assert np.allclose(P.horner_shift(k + 1)(lam), want)
+        want = lam * horner_shift(P, k)(lam) + P.coeff(3 - k - 1)
+        assert np.allclose(horner_shift(P, k + 1)(lam), want)
 
 
 def test_trim():

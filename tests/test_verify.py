@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
 
-from rosepencil.polymat import (MatrixPolynomial, PolyMatrix, lambda_alpha,
-                                omega_alpha)
+from rosepencil.polymat import MatrixPolynomial, PolyMatrix
 from rosepencil.realize import Realization, system_matrix
 from rosepencil.pencils import BlockPencil, GfprRecipe, fiedler_pencil, gfpr
 from rosepencil.structured import skew_symmetric_linearization
-from rosepencil.verify import (VerificationFailure, appendix_witnesses,
-                               argument_principle_count, backward_errors,
+from rosepencil.verify import (VerificationFailure, backward_errors,
                                det_proportionality, eig_multiset,
-                               elimination_witness, infinity_structure,
-                               minimal_basis_degree_sweep, multiset_distance,
-                               normal_rank, nullspace_at, pencil_eigenvalues,
-                               product_equal)
+                               infinity_structure, minimal_basis_degree_sweep,
+                               multiset_distance, normal_rank, nullspace_at,
+                               pencil_eigenvalues)
 from conftest import all_permutations, det_poly, \
     gaussian_skew_symmetric_realization, ints, make_realization, poly, \
     zero_corner_realization
+from lemma_oracles import appendix_witnesses, argument_principle_count, \
+    elimination_witness, lambda_alpha, omega_alpha, product_equal
 
 
 def test_det_poly_known():
