@@ -224,6 +224,8 @@ def make_structured_realization(kind, P, A, B, E=None, structure_exact=True):
                            structure="skew-symmetric")
 
     if kind == "hamiltonian":
+        _req(E is None or np.array_equal(E, np.eye(r)),
+             "Hamiltonian realization has E = I")
         _req(r % 2 == 0, "Hamiltonian realization needs even r")
         J = j_matrix(r // 2)
         _req(structure_check(P, "t-even", exact=structure_exact), "P not T-even")
@@ -232,6 +234,8 @@ def make_structured_realization(kind, P, A, B, E=None, structure_exact=True):
                            structure="hamiltonian")
 
     if kind == "skew-hamiltonian":
+        _req(E is None or np.array_equal(E, np.eye(r)),
+             "skew-Hamiltonian realization has E = I")
         _req(r % 2 == 0, "skew-Hamiltonian realization needs even r")
         J = j_matrix(r // 2)
         _req(structure_check(P, "skew-symmetric", exact=structure_exact),

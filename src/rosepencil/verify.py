@@ -2,10 +2,11 @@
 
 Unimodular equivalence of a pencil to its system matrix is checked by
 proxy: det L(z) / det S(z), by slogdet at seeded random points, must be
-constant.  Eigenvalues come from QZ and are judged by their backward
-error.  The structure at infinity is checked by N - deg det, the number
-of infinite eigenvalues, where deg det is the count of finite QZ
-eigenvalues, against the same count for a companion form of S.
+constant.  Eigenvalues come from QZ, real QZ when the data is real, and
+are judged by their backward error.  The structure at infinity is the
+list of partial multiplicities at infinity, read off a staircase of SVDs
+on the reversed pencil (Van Dooren 1979) without any QZ, and checked
+against the same list for a companion form of S.
 """
 
 import math
@@ -77,6 +78,17 @@ def det_proportionality(L, S, tol=1e-8):
 # ---------------------------------------------------------------------------
 # pencil eigenvalues
 
+def _real_if_real(X, Y):
+    """X and Y as complex arrays, or as their real parts when neither has
+    a nonzero imaginary part, whatever the dtype: real data runs real
+    LAPACK."""
+    X = np.asarray(X, dtype=complex)
+    Y = np.asarray(Y, dtype=complex)
+    if X.imag.any() or Y.imag.any():
+        return X, Y
+    return X.real, Y.real
+
+
 def pencil_eigenvalues(X, Y=None, cluster_tol=1e-6):
     """Finite eigenvalues of the pencil X + lam Y with multiplicities.
 
@@ -84,14 +96,21 @@ def pencil_eigenvalues(X, Y=None, cluster_tol=1e-6):
     a = |alpha| / ||X|| and b = |beta| / ||Y||, a pair with a and b both
     at most sqrt(eps) makes the pencil numerically singular, and a pair
     with only b that small is an eigenvalue at infinity.  Finite
-    eigenvalues within cluster_tol (relative) are merged."""
+    eigenvalues within cluster_tol (relative) are merged.  Data with no
+    nonzero imaginary part, whatever its dtype, goes through real QZ, so
+    conjugate pairs are exact and real eigenvalues have imaginary part 0."""
     if Y is None:
         X, Y = X.X, X.Y
-    X = np.asarray(X, dtype=complex)
-    Y = np.asarray(Y, dtype=complex)
+    X, Y = _real_if_real(X, Y)
     if X.shape[0] == 0:
         return []
     alpha, beta = scipy.linalg.eigvals(-X, Y, homogeneous_eigvals=True)
+    if X.dtype != complex:
+        # real QZ lists a conjugate pair as j (imaginary part > 0), j + 1,
+        # with betas that may differ; mirror j onto j + 1 so the pair is
+        # exact
+        j = np.flatnonzero(alpha.imag > 0)
+        alpha[j + 1], beta[j + 1] = alpha[j].conj(), beta[j]
     if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
         raise VerificationFailure("QZ returned non-finite eigenvalues")
     tol = math.sqrt(np.finfo(float).eps)
@@ -273,33 +292,62 @@ def minimal_basis_degree_sweep(W, tol=1e-8, seed=11, max_degree=None):
 class InfinityReport:
     leading_rank: int
     inf_count: int
+    multiplicities: tuple
     sys_inf_count: int | None = None
+    sys_multiplicities: tuple | None = None
     consistent: bool | None = None
 
 
-def infinity_structure(pencil, sys=None, tol=1e-10, eigenvalues=None):
-    """Numerical rank of the leading coefficient Y, plus the
-    infinite-eigenvalue count N - (finite QZ eigenvalues of the pencil).
-    eigenvalues may pass in the pencil's `pencil_eigenvalues` when the
-    caller already has them.  When a system matrix is supplied, the count
-    is checked against N - (finite QZ eigenvalues of a companion-form
-    Fiedler pencil of S).  A singular pencil is refused with
-    VerificationFailure."""
-    X, Y = pencil.X, pencil.Y
-    N = X.shape[0]
+def _infinite_multiplicities(X, Y, tol):
+    """Partial multiplicities at infinity of X + lam Y, largest first:
+    the Jordan structure at mu = 0 of the reversal Y + mu X, by a
+    staircase (Van Dooren 1979).  The nullity k of Y is the next Weyr
+    number; X restricted to null(Y) is row-compressed, and must have rank
+    k for a regular pencil; k rows and columns are deflated.  The
+    multiplicities are the conjugate partition of the Weyr numbers.
+    Ranks count singular values above tol times the 2-norm of the input
+    Y (resp. X).  Real input stays real."""
+    weyr = []
+    ytol = xtol = None
+    while Y.shape[0]:
+        s = np.linalg.svd(Y, compute_uv=False)
+        if ytol is None:
+            ytol = tol * max(float(s[0]), 1e-300)
+        k = int(np.sum(s <= ytol))
+        if k == 0:
+            break
+        if xtol is None:
+            xtol = tol * max(float(np.linalg.norm(X, 2)), 1e-300)
+        V = np.linalg.svd(Y)[2].conj().T[:, ::-1]   # null(Y) first
+        X, Y = X @ V, Y @ V
+        U, sx, _ = np.linalg.svd(X[:, :k])
+        if sx[-1] <= xtol:
+            raise VerificationFailure(
+                "singular pencil: X and Y share a null vector")
+        X = (U.conj().T @ X)[k:, k:]
+        Y = (U.conj().T @ Y)[k:, k:]
+        weyr.append(k)
+    return tuple(sum(w >= j for w in weyr)
+                 for j in range(1, max(weyr, default=0) + 1))
 
-    def inf_count(pairs):
-        return N - sum(k for _, k in pairs)
 
-    s = np.linalg.svd(np.asarray(Y, dtype=complex), compute_uv=False)
-    rank = int(np.sum(s > tol * max(float(s[0]), 1e-300))) if s.size else 0
-    count = inf_count(pencil_eigenvalues(X, Y) if eigenvalues is None
-                      else eigenvalues)
-    sys_count = None
-    consistent = None
+def infinity_structure(pencil, sys=None, tol=1e-10):
+    """Structure at infinity of X + lam Y, without QZ.  The partial
+    multiplicities at infinity come from a staircase of SVDs on the
+    reversal Y + mu X; their sum is the infinite-eigenvalue count and
+    leading_rank, the numerical rank of Y, is N minus their number.  When
+    a system matrix is supplied, the multiplicities must equal those of
+    a companion-form Fiedler pencil of S.  A singular pencil is refused
+    with VerificationFailure."""
+    mults = _infinite_multiplicities(*_real_if_real(pencil.X, pencil.Y), tol)
+    sys_mults = consistent = None
     if sys is not None:
         companion = fiedler_pencil(tuple(range(sys.re.m)), sys.re)
-        sys_count = inf_count(pencil_eigenvalues(companion))
-        consistent = (sys_count == count)
-    return InfinityReport(leading_rank=rank, inf_count=count,
-                          sys_inf_count=sys_count, consistent=consistent)
+        sys_mults = _infinite_multiplicities(
+            *_real_if_real(companion.X, companion.Y), tol)
+        consistent = (sys_mults == mults)
+    return InfinityReport(
+        leading_rank=pencil.X.shape[0] - len(mults), inf_count=sum(mults),
+        multiplicities=mults,
+        sys_inf_count=None if sys_mults is None else sum(sys_mults),
+        sys_multiplicities=sys_mults, consistent=consistent)

@@ -176,6 +176,18 @@ def test_structured_report_on_every_kind(capsys, tmp_path, rng, kind):
     assert rep["ok"] and rep["deviation"] == 0.0
 
 
+@pytest.mark.parametrize("kind,E", [("hamiltonian", 5 * np.eye(2)),
+                                    ("skew-hamiltonian", -np.eye(2))])
+def test_hamiltonian_kinds_refuse_e(capsys, tmp_path, rng, kind, E):
+    real = _realization_json(make_realization(kind, rng))
+    real["E"] = E.tolist()
+    problem = _dump(tmp_path, "prob.json", {"realization": real})
+    with pytest.raises(SystemExit) as e:
+        main(["build", "--kind", "structured:" + kind, "--problem", problem])
+    assert e.value.code == 4
+    assert "has E = I" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind,real", [
     ("t-even", {"P": [[[1]], [[0]], [[1]]], "A": [[1, 0], [0, 1]],
                 "B": [[1], [1]]}),

@@ -114,8 +114,13 @@ def test_structure_check_tags(rng):
 
 
 def test_structure_check_aliases():
+    # a Hamiltonian G is T-even and a skew-Hamiltonian one T-odd: I_2 is
+    # symmetric, so it passes the first alias and fails the second
     S = np.eye(2)
-    assert structure_check([S], "Hamiltonian".lower()) or True  # tag exists
+    rep = structure_check([S], "hamiltonian")
+    assert rep and rep.tag == "t-even"
+    rep = structure_check([S], "skew-hamiltonian")
+    assert not rep and rep.tag == "t-odd"
     with pytest.raises(ValueError):
         structure_check([S], "totally-positive")
 

@@ -118,6 +118,19 @@ def test_hamiltonian_needs_even_r(rng):
                                     ints(rng, 3, 2))
 
 
+@pytest.mark.parametrize("kind,E", [("hamiltonian", 5 * np.eye(2)),
+                                    ("skew-hamiltonian", -np.eye(2))])
+def test_hamiltonian_kinds_refuse_e(rng, kind, E):
+    # these kinds fix E = I in the raw data, as t-odd does; another E
+    # would silently describe a different G
+    re = make_realization(kind, rng, m=3)
+    A = re.A if kind == "hamiltonian" else -re.A
+    with pytest.raises(StructuralViolation, match="has E = I"):
+        make_structured_realization(kind, re.P, A, re.B, E=E)
+    same = make_structured_realization(kind, re.P, A, re.B, E=np.eye(2))
+    assert np.array_equal(same.E, re.E) and np.array_equal(same.A, re.A)
+
+
 def test_hamiltonian_conversion_preserves_g(rng):
     re = make_realization("hamiltonian", rng, m=3)
     conv = hamiltonian_to_t_even(re)

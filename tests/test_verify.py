@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rosepencil.polymat import MatrixPolynomial, PolyMatrix
 from rosepencil.realize import Realization, system_matrix
@@ -118,6 +119,35 @@ def test_pencil_eigenvalue_multiplicity():
     assert abs(z1 + 1) <= 1e-8 and pairs[z1] == 2
 
 
+def test_pencil_eigenvalues_real_data_real_qz(rng):
+    # a builder-made pencil is stored complex; with no nonzero imaginary
+    # part it runs real QZ, exactly as its float64 copy does
+    re = make_realization("general", rng, m=4, n=3, r=2, ns_top=True)
+    L = fiedler_pencil((2, 0, 3, 1), re)
+    assert L.X.dtype == complex
+    pairs = pencil_eigenvalues(L.X, L.Y)
+    assert pairs == pencil_eigenvalues(L.X.real.copy(), L.Y.real.copy())
+    assert sum(k for _, k in pairs) == L.size
+    found = dict(pairs)
+    real = [z for z in found if abs(z.imag) <= 1e-8 * (1 + abs(z))]
+    assert real and all(z.imag == 0.0 for z in real)
+    nonreal = [z for z in found if z.imag != 0.0]
+    assert nonreal
+    for z in nonreal:
+        assert found.get(z.conjugate()) == found[z]
+
+
+def test_pencil_eigenvalues_complex_data(rng):
+    X = ints(rng, 5, 5)
+    Y = ints(rng, 5, 5) + 6 * np.eye(5)
+    X[1, 3] += 0.5j
+    eigs = eig_multiset(pencil_eigenvalues(X, Y))
+    ref = scipy.linalg.eigvals(-X, Y)
+    assert multiset_distance(eigs, ref) <= 1e-10 * (1 + max(abs(ref)))
+    # the spectrum is not closed under conjugation
+    assert multiset_distance(eigs, np.conj(ref)) > 1e-6
+
+
 def test_pencil_eigenvalues_identically_singular():
     X = np.zeros((2, 2), dtype=complex)
     with pytest.raises(VerificationFailure):
@@ -170,16 +200,80 @@ def test_degree_sweep_trivial_nullspace(rng):
         minimal_basis_degree_sweep(poly(rng, 2, 2, ns_top=True))
 
 
-def test_infinity_structure(rng):
+def test_infinity_structure(rng, monkeypatch):
+    def no_qz(*args, **kwargs):
+        raise AssertionError("infinity_structure ran QZ")
+
+    monkeypatch.setattr(scipy.linalg, "eigvals", no_qz)
     re = make_realization("general", rng, m=3, ns_top=True)
     L = fiedler_pencil((0, 1, 2), re)
     rep = infinity_structure(L, system_matrix(re))
     assert rep.consistent
-    assert rep.inf_count == rep.sys_inf_count
-    assert rep.leading_rank <= L.X.shape[0]
-    shared = infinity_structure(L, system_matrix(re),
-                                eigenvalues=pencil_eigenvalues(L))
-    assert shared == rep
+    assert rep.multiplicities == rep.sys_multiplicities == ()
+    assert rep.inf_count == rep.sys_inf_count == 0
+    assert rep.leading_rank == L.X.shape[0]
+
+
+def test_staircase_nilpotent_leading_coefficient():
+    # I + lam N with N nilpotent of rank 1: the reversal N + mu I has one
+    # Jordan block of size 2 and one of size 1 at mu = 0
+    N = np.zeros((3, 3), dtype=complex)
+    N[0, 1] = 1.0
+    rep = infinity_structure(BlockPencil(np.eye(3, dtype=complex), N, 1, 3, 0))
+    assert rep.multiplicities == (2, 1)
+    assert rep.inf_count == 3 and rep.leading_rank == 1
+    # Y = 0: three infinite eigenvalues, each of multiplicity 1; against
+    # the system matrix I + lam N the count agrees, the structure does not
+    re = Realization(MatrixPolynomial([np.eye(3, dtype=complex), N]),
+                     C=np.zeros((3, 0)), E=np.zeros((0, 0)),
+                     A=np.zeros((0, 0)), B=np.zeros((0, 3)))
+    rep = infinity_structure(BlockPencil(np.eye(3, dtype=complex),
+                                         np.zeros((3, 3), dtype=complex),
+                                         1, 3, 0), system_matrix(re))
+    assert rep.multiplicities == (1, 1, 1)
+    assert rep.inf_count == 3 and rep.leading_rank == 0
+    assert rep.sys_multiplicities == (2, 1) and rep.sys_inf_count == 3
+    assert not rep.consistent
+
+
+def _singular_top_realizations(m, count, seed):
+    """General integer realizations with n = 3 whose A_m has rank 1 or 2,
+    alternately, and whose det S is not identically zero."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k = 1 + len(out) % 2
+        re = make_realization("general", rng, n=3, m=m)
+        top = ints(rng, 3, k) @ ints(rng, k, 3)
+        if np.linalg.matrix_rank(top) != k:
+            continue
+        re = Realization(MatrixPolynomial([re.P.coeff(j) for j in range(m)]
+                                          + [top]),
+                         C=re.C, E=re.E, A=re.A, B=re.B)
+        try:
+            pencil_eigenvalues(fiedler_pencil(tuple(range(m)), re))
+        except VerificationFailure:
+            continue
+        out.append(re)
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_infinity_structure_singular_top_census(m):
+    # every FP of realizations with a singular A_m: the staircase
+    # multiplicities sum to N - (finite QZ eigenvalues) and match the
+    # companion form's
+    seen = set()
+    for re in _singular_top_realizations(m, 5, seed={3: 106, 4: 105}[m]):
+        S = system_matrix(re)
+        for alpha in all_permutations(m):
+            L = fiedler_pencil(alpha, re)
+            rep = infinity_structure(L, S)
+            finite = sum(k for _, k in pencil_eigenvalues(L))
+            assert rep.consistent, (alpha, rep)
+            assert rep.inf_count == L.X.shape[0] - finite, (alpha, rep)
+            seen.add(rep.multiplicities)
+    assert seen == {(1,), (1, 1), (2, 1)}
 
 
 def test_infinity_structure_counts_infinite_eigenvalues():
