@@ -6,19 +6,12 @@ matrix stacks P with the pencil A - lam E:
     S(lam) = [[P(lam), C], [B, A - lam E]].
 
 The structured constructors store every structured rational matrix in
-this one canonical shape, absorbing sign/corner conventions into C, E, A
-so that the pencil builders never need special cases:
-
-- T-odd:            G = P + B^T (lam I - A0)^{-1} B, A0 skew
-                    -> C = -B^T, E = -I, A = -A0  (corner lam I - A0)
-- skew-symmetric:   G = P + B^T (lam E0 - A0)^{-1} B, E0/A0 skew
-                    -> C = -B^T, E = -E0, A = -A0
-- skew-Hamiltonian: G = P + B^T J^T (lam I - A0)^{-1} B, J A0 skew,
-                    P skew-symmetric (G itself is skew-symmetric)
-                    -> C = -B^T J^T, E = -I, A = -A0
+this one canonical shape, so the pencil builders need no special cases.
+STRUCTURED_KINDS holds, per kind, the rules on the raw data and the sign
+and J-twist that fold the kind's conventions into C, E and A.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +20,8 @@ from .polymat import MatrixPolynomial, PolyMatrix, structure_check
 __all__ = [
     "Realization", "SystemMatrix", "system_matrix", "is_minimal",
     "make_structured_realization", "transfer_function_eval",
-    "j_matrix", "jay", "StructuralViolation",
+    "j_matrix", "jay", "StructuralViolation", "StructuredKind",
+    "STRUCTURED_KINDS",
 ]
 
 
@@ -100,10 +94,6 @@ class SystemMatrix:
     """S(lam) = [[P(lam), C], [B, A - lam E]] of size n + r."""
     re: Realization
 
-    @property
-    def size(self):
-        return self.re.n + self.re.r
-
     def __call__(self, lam):
         re = self.re
         n, r = re.n, re.r
@@ -126,10 +116,6 @@ class SystemMatrix:
         coeffs[0, n:, n:] = re.A
         coeffs[1, n:, n:] += -re.E
         return PolyMatrix(coeffs)
-
-    def coeff_list(self):
-        p = self.as_poly()
-        return [p.coeff(k) for k in range(p.degree + 1)]
 
 
 def system_matrix(re):
@@ -174,77 +160,78 @@ def _req(cond, msg):
         raise StructuralViolation(msg)
 
 
-def _is_sym(M, skew=False):
-    return np.array_equal(M.T, -M if skew else M)
+@dataclass(frozen=True)
+class StructuredKind:
+    """One row of STRUCTURED_KINDS.
+
+    The raw data P, A0, B, E0 describe G = P + B^T [J^T] (lam E0 - A0)^{-1} B
+    (J^T when twisted).  The realization stores C = s B^T [J^T], E = s E0
+    and A = s A0, which leaves G unchanged and lets one recipe give the
+    target structure for either sign."""
+    tag: str        # structure of P, and of the pencil (after the J-twist)
+    a_rule: str     # "symmetric" or "skew-symmetric": A, or J A when twisted
+    e_rule: str     # "symmetric" (free, default I), "skew-symmetric" (required), "I" (fixed)
+    sign: int       # s above
+    twisted: bool   # J enters C and the A rule; diag(I_mn, J) L has the tag
+    options: tuple  # linearization options beyond h
+
+    def target_coeffs(self, L):
+        """[X, Y] of L, or of diag(I_mn, J) L when twisted."""
+        if not self.twisted:
+            return [L.X, L.Y]
+        J = jay(L.m * L.n, L.r)
+        return [J @ L.X, J @ L.Y]
 
 
-def make_structured_realization(kind, P, A, B, E=None, structure_exact=True):
+STRUCTURED_KINDS = {
+    "symmetric": StructuredKind("symmetric", "symmetric", "symmetric", 1, False,
+                                ("t_wh", "t_vh", "X", "Y")),
+    "t-even": StructuredKind("t-even", "symmetric", "skew-symmetric", 1, False,
+                             ("z",)),
+    "t-odd": StructuredKind("t-odd", "skew-symmetric", "I", -1, False, ("z",)),
+    "hamiltonian": StructuredKind("t-even", "symmetric", "I", 1, True, ("z",)),
+    "skew-hamiltonian": StructuredKind("skew-symmetric", "skew-symmetric", "I",
+                                       -1, True, ("z", "t_w", "t_z")),
+    "skew-symmetric": StructuredKind("skew-symmetric", "skew-symmetric",
+                                     "skew-symmetric", -1, False,
+                                     ("z", "t_w", "t_z")),
+}
+
+
+def _obeys(M, rule):
+    return np.array_equal(M.T, -M if rule == "skew-symmetric" else M)
+
+
+def make_structured_realization(kind, P, A, B, E=None):
     """Build a validated structured realization in canonical form.
 
-    kind in {symmetric, t-even, t-odd, hamiltonian, skew-hamiltonian,
-    skew-symmetric}.  P is the polynomial part; A, B (and E where it is
-    free) are the raw state-space data in the shape stated for each kind
-    in the module docstring.
+    kind is a key of STRUCTURED_KINDS, whose row gives the rules on P, A
+    and E; P is the polynomial part, A, B and E the raw state-space data.
     """
     kind = kind.lower().replace("_", "-")
+    row = STRUCTURED_KINDS.get(kind)
+    if row is None:
+        raise ValueError(f"unknown structured kind {kind!r}")
     r = A.shape[0]
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
-    if E is None and kind in ("t-even", "skew-symmetric"):
+    if row.e_rule == "I":
+        _req(E is None or np.array_equal(E, np.eye(r)), f"{kind} realization has E = I")
+        E = None
+    elif E is None and row.e_rule == "skew-symmetric":
         raise ValueError(f"{kind} realization needs E")
-
-    if kind == "symmetric":
-        E = np.eye(r, dtype=complex) if E is None else np.asarray(E, dtype=complex)
-        _req(structure_check(P, "symmetric", exact=structure_exact), "P not symmetric")
-        _req(_is_sym(A), "A not symmetric")
-        _req(_is_sym(E), "E not symmetric")
-        return Realization(P, C=B.T.copy(), E=E, A=A, B=B, structure="symmetric")
-
-    if kind == "t-even":
-        E = np.asarray(E, dtype=complex)
-        _req(structure_check(P, "t-even", exact=structure_exact), "P not T-even")
-        _req(_is_sym(A), "A not symmetric")
-        _req(_is_sym(E, skew=True), "E not skew-symmetric")
-        return Realization(P, C=B.T.copy(), E=E, A=A, B=B, structure="t-even")
-
-    if kind == "t-odd":
-        _req(E is None or np.array_equal(E, np.eye(r)), "T-odd realization has E = I")
-        _req(structure_check(P, "t-odd", exact=structure_exact), "P not T-odd")
-        _req(_is_sym(A, skew=True), "A not skew-symmetric")
-        return Realization(P, C=-B.T.copy(), E=-np.eye(r, dtype=complex), A=-A, B=B,
-                           structure="t-odd")
-
-    if kind == "skew-symmetric":
-        E = np.asarray(E, dtype=complex)
-        _req(structure_check(P, "skew-symmetric", exact=structure_exact),
-             "P not skew-symmetric")
-        _req(_is_sym(A, skew=True), "A not skew-symmetric")
-        _req(_is_sym(E, skew=True), "E not skew-symmetric")
-        return Realization(P, C=-B.T.copy(), E=-E, A=-A, B=B,
-                           structure="skew-symmetric")
-
-    if kind == "hamiltonian":
-        _req(E is None or np.array_equal(E, np.eye(r)),
-             "Hamiltonian realization has E = I")
-        _req(r % 2 == 0, "Hamiltonian realization needs even r")
+    E = np.eye(r, dtype=complex) if E is None else np.asarray(E, dtype=complex)
+    JA, C = A, B.T.copy()
+    if row.twisted:
+        _req(r % 2 == 0, f"{kind} realization needs even r")
         J = j_matrix(r // 2)
-        _req(structure_check(P, "t-even", exact=structure_exact), "P not T-even")
-        _req(_is_sym(J @ A), "J A not symmetric (A not Hamiltonian)")
-        return Realization(P, C=(B.T @ J.T), E=np.eye(r, dtype=complex), A=A, B=B,
-                           structure="hamiltonian")
-
-    if kind == "skew-hamiltonian":
-        _req(E is None or np.array_equal(E, np.eye(r)),
-             "skew-Hamiltonian realization has E = I")
-        _req(r % 2 == 0, "skew-Hamiltonian realization needs even r")
-        J = j_matrix(r // 2)
-        _req(structure_check(P, "skew-symmetric", exact=structure_exact),
-             "P not skew-symmetric")
-        _req(_is_sym(J @ A, skew=True), "J A not skew-symmetric")
-        return Realization(P, C=-(B.T @ J.T), E=-np.eye(r, dtype=complex), A=-A, B=B,
-                           structure="skew-hamiltonian")
-
-    raise ValueError(f"unknown structured kind {kind!r}")
+        JA, C = J @ A, B.T @ J.T
+    _req(structure_check(P, row.tag, exact=True), f"P not {row.tag}")
+    _req(_obeys(JA, row.a_rule), f"{'J A' if row.twisted else 'A'} not {row.a_rule}")
+    _req(row.e_rule == "I" or _obeys(E, row.e_rule), f"E not {row.e_rule}")
+    if row.sign < 0:
+        C, E, A = -C, -E, -A
+    return Realization(P, C=C, E=E, A=A, B=B, structure=kind)
 
 
 def hamiltonian_to_t_even(re):

@@ -1,12 +1,14 @@
 """Structure-preserving linearizations and the Cauchy-Maslov index.
 
-All constructions share one pattern: pick the simple admissible tuple w
-of {0:h} (h even), an admissible z + m of {0:m-h-1}, the symmetric
-complements c_w and c_z, optionally type-1 decorations t_w / t_z, build
-the GFPR through the generic recipe machinery, and left-multiply by the
-unique sign-normalized quasi-identity that forces the target structure
-on the polynomial part.  The sign at the border block is normalized to
-+1 so the borders keep the realization's C and B unchanged.
+realize.STRUCTURED_KINDS gives each kind's target structure, J-twist and
+options.  The symmetric kind builds a block-symmetric GFPR.  The other
+five share one pattern: pick the simple admissible tuple w of {0:h}
+(h even), an admissible z + m of {0:m-h-1}, the symmetric complements
+c_w and c_z, optionally type-1 decorations t_w / t_z, build the GFPR
+through the generic recipe machinery, and left-multiply by the unique
+sign-normalized quasi-identity that forces the target structure on the
+polynomial part.  The sign at the border block is normalized to +1 so
+the borders keep the realization's C and B unchanged.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from .pencils import (BlockPencil, GfprRecipe, RecipeError, gfpr,
                       trivial_assignment)
 from .polymat import (_STRUCTURE_RULES, _structure_tol, block_transpose_dense,
                       normalize_tag, quasi_identity_matrix, structure_check)
-from .realize import StructuralViolation, jay, j_matrix
+from .realize import STRUCTURED_KINDS, StructuralViolation
 
 __all__ = [
     "QuasiIdentity", "AmbiguousQuasiIdentity", "find_quasi_identity",
@@ -36,9 +38,6 @@ __all__ = [
 @dataclass(frozen=True)
 class QuasiIdentity:
     signs: tuple
-
-    def matrix(self, n, r=0):
-        return quasi_identity_matrix(self.signs, n, r)
 
 
 class AmbiguousQuasiIdentity(RuntimeError):
@@ -156,12 +155,24 @@ def block_symmetric_gfpr(re, h, t_wh=(), t_vh=(), X=None, Y=None):
     return L
 
 
+def _expect(kind, re):
+    """The table row of kind; re must be a realization of that kind."""
+    if re.structure != kind:
+        raise StructuralViolation(f"expects a {kind} realization")
+    return STRUCTURED_KINDS[kind]
+
+
+def _check_target(row, L):
+    rep = structure_check(row.target_coeffs(L), row.tag)
+    if not rep:
+        raise AssertionError(f"constructed pencil failed the {row.tag} check: {rep}")
+
+
 def symmetric_linearization(re, h, t_wh=(), t_vh=(), X=None, Y=None):
     """Symmetric Rosenbrock strong linearization of a symmetric G; needs
     a symmetric realization, symmetric matrix assignments, and a
     nonsingular A_m when m is even."""
-    if re.structure != "symmetric":
-        raise StructuralViolation("expects a symmetric realization")
+    row = _expect("symmetric", re)
     for name, mats in (("X", X), ("Y", Y)):
         for M in mats or ():
             M = np.asarray(M)
@@ -171,9 +182,7 @@ def symmetric_linearization(re, h, t_wh=(), t_vh=(), X=None, Y=None):
         raise StructuralViolation(
             "even m forces -m into c_v; A_m must be nonsingular")
     L = block_symmetric_gfpr(re, h, t_wh, t_vh, X, Y)
-    rep = structure_check([L.X, L.Y], "symmetric")
-    if not rep:
-        raise AssertionError(f"constructed pencil failed the symmetry check: {rep}")
+    _check_target(row, L)
     return L
 
 
@@ -274,70 +283,45 @@ def _sign_normalized(re, recipe, target):
                        out.col_block, out.row_block, prov)
 
 
-def _check_full(pencil, tag, J=None):
-    cl = [pencil.X, pencil.Y]
-    if J is not None:
-        cl = [J @ pencil.X, J @ pencil.Y]
-    rep = structure_check(cl, tag)
-    if not rep:
-        raise AssertionError(f"constructed pencil failed the {tag} check: {rep}")
+def _linearize(kind, re, h, z, t_w=(), t_z=()):
+    """The even/odd recipe of a realization of kind, sign-normalized to
+    the kind's target structure."""
+    row = _expect(kind, re)
+    out = _sign_normalized(re, _even_odd_recipe(re, h, z, t_w, t_z), row.tag)
+    _check_target(row, out)
+    return out
 
 
 def t_even_linearization(re, h=0, z=None):
     """T-even Rosenbrock strong linearization from a T-even realization;
     borders carry +/- nothing: +B^T at block m - i_0(w)."""
-    if re.structure != "t-even":
-        raise StructuralViolation("expects a T-even realization")
-    recipe = _even_odd_recipe(re, h, z)
-    out = _sign_normalized(re, recipe, "t-even")
-    _check_full(out, "t-even")
-    return out
+    return _linearize("t-even", re, h, z)
 
 
 def t_odd_linearization(re, h=0, z=None):
     """T-odd linearization from a T-odd realization; border -B^T at
     block m - i_0(w)."""
-    if re.structure != "t-odd":
-        raise StructuralViolation("expects a T-odd realization")
-    recipe = _even_odd_recipe(re, h, z)
-    out = _sign_normalized(re, recipe, "t-odd")
-    _check_full(out, "t-odd")
-    return out
+    return _linearize("t-odd", re, h, z)
 
 
 def hamiltonian_linearization(re, h=0, z=None):
     """Hamiltonian linearization from a Hamiltonian realization: the
     T-even recipe applied verbatim; the result T satisfies
     J_{mn,r} T(lam) T-even."""
-    if re.structure != "hamiltonian":
-        raise StructuralViolation("expects a Hamiltonian realization")
-    recipe = _even_odd_recipe(re, h, z)
-    out = _sign_normalized(re, recipe, "t-even")
-    _check_full(out, "t-even", J=jay(re.m * re.n, re.r))
-    return out
+    return _linearize("hamiltonian", re, h, z)
 
 
 def skew_symmetric_linearization(re, h=0, z=None, t_w=(), t_z=()):
     """Skew-symmetric linearization from a skew-symmetric realization,
     with optional type-1 decorations t_w (from {0:h-1}) and t_z (with
     t_z + m from {0:m-h-2})."""
-    if re.structure != "skew-symmetric":
-        raise StructuralViolation("expects a skew-symmetric realization")
-    recipe = _even_odd_recipe(re, h, z, t_w, t_z)
-    out = _sign_normalized(re, recipe, "skew-symmetric")
-    _check_full(out, "skew-symmetric")
-    return out
+    return _linearize("skew-symmetric", re, h, z, t_w, t_z)
 
 
 def skew_hamiltonian_linearization(re, h=0, z=None, t_w=(), t_z=()):
     """Skew-Hamiltonian linearization T of a skew-symmetric G from a
     skew-Hamiltonian realization: J_{mn,r} T(lam) is skew-symmetric."""
-    if re.structure != "skew-hamiltonian":
-        raise StructuralViolation("expects a skew-Hamiltonian realization")
-    recipe = _even_odd_recipe(re, h, z, t_w, t_z)
-    out = _sign_normalized(re, recipe, "skew-symmetric")
-    _check_full(out, "skew-symmetric", J=jay(re.m * re.n, re.r))
-    return out
+    return _linearize("skew-hamiltonian", re, h, z, t_w, t_z)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from rosepencil.cli import _pencil_out, main
+from rosepencil import structured
+from rosepencil.cli import _OPTIONS, _pencil_out, _parse_pencil, build_parser, \
+    main
 from rosepencil.pencils import fiedler_pencil
+from rosepencil.polymat import MatrixPolynomial
+from rosepencil.realize import STRUCTURED_KINDS, StructuralViolation, \
+    make_structured_realization
 from conftest import gaussian_skew_symmetric_realization, make_realization
 
 
@@ -161,13 +166,19 @@ def test_structured_subcommand(capsys, sym_problem):
     assert rep["deviation"] == 0.0
 
 
-@pytest.mark.parametrize("kind", ["symmetric", "t-even", "t-odd", "hamiltonian",
-                                  "skew-hamiltonian", "skew-symmetric"])
+def _raw_json(kind, re):
+    """CLI realization of a structured kind: the stored A and E are valid
+    raw data too, and the kinds that fix E omit it."""
+    real = _realization_json(re)
+    if STRUCTURED_KINDS[kind].e_rule == "I":
+        del real["E"]
+    return real
+
+
+@pytest.mark.parametrize("kind", list(STRUCTURED_KINDS))
 def test_structured_report_on_every_kind(capsys, tmp_path, rng, kind):
     # the two Hamiltonian kinds are judged through diag(I_mn, J) L
-    real = _realization_json(make_realization(kind, rng))
-    if kind in ("t-odd", "hamiltonian", "skew-hamiltonian"):
-        del real["E"]  # these kinds fix E
+    real = _raw_json(kind, make_realization(kind, rng))
     spec = _dump(tmp_path, "spec.json", {"realization": real})
     code, out = run(capsys, "structured", "--kind", kind, "--h", "0",
                     "--spec", spec)
@@ -201,6 +212,129 @@ def test_missing_e_is_a_schema_error(capsys, tmp_path, kind, real):
         main(["build", "--kind", "structured:" + kind, "--problem", problem])
     assert e.value.code == 2
     assert f"{kind} realization needs E" in capsys.readouterr().err
+
+
+def test_structured_kind_choices_are_the_table():
+    import argparse
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    kind, = [a for a in sub.choices["structured"]._actions
+             if a.dest == "kind"]
+    assert tuple(kind.choices) == tuple(STRUCTURED_KINDS)
+
+
+# one valid value of every linearization option at m = 7, h = 2; each
+# changes the pencil (z is not the default tuple, and is given as z, not
+# z + m)
+_OPTION_VALUES = {"h": 2, "z": [-4, -3, -7, -6, -5], "t_w": [0], "t_z": [-5],
+                  "t_wh": [0], "t_vh": [-7],
+                  "X": [[[2, 1], [1, 3]]], "Y": [[[1, -1], [-1, 4]]]}
+
+
+def _library_realization(real):
+    def mat(M):
+        return np.array(M, dtype=complex)
+    return make_structured_realization(
+        real["kind"], MatrixPolynomial([mat(c) for c in real["P"]]),
+        mat(real["A"]), mat(real["B"]),
+        E=mat(real["E"]) if "E" in real else None)
+
+
+@pytest.mark.parametrize("kind", list(STRUCTURED_KINDS))
+def test_build_with_every_option_matches_the_library(capsys, tmp_path, rng,
+                                                     kind):
+    row = STRUCTURED_KINDS[kind]
+    re = make_realization(kind, rng, m=7, ns_top=True)
+    while abs(np.linalg.det(re.P.coeff(0))) < 0.5:  # 0 in t_w needs it
+        re = make_realization(kind, rng, m=7, ns_top=True)
+    real = _raw_json(kind, re)
+    options = {k: _OPTION_VALUES[k] for k in ("h",) + row.options}
+    problem = _dump(tmp_path, "prob.json",
+                    {"realization": real, "options": options})
+    code, out = run(capsys, "build", "--kind", "structured:" + kind,
+                    "--problem", problem)
+    assert code == 0
+    got = _parse_pencil(json.loads(out))
+    kw = {k: tuple(np.array(v, dtype=complex) if k in "XY" else v
+                   for v in options[k]) for k in row.options}
+    build = getattr(structured, kind.replace("-", "_") + "_linearization")
+    want = build(_library_realization(real), 2, **kw)
+    assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
+    assert (got.col_block, got.row_block) == (want.col_block, want.row_block)
+
+
+@pytest.mark.parametrize("kind,key", [
+    (kind, key) for kind, row in STRUCTURED_KINDS.items()
+    for key in sorted(_OPTIONS - {"tol", "seed", "h"} - set(row.options))])
+def test_structured_build_refuses_a_foreign_option(capsys, tmp_path, rng,
+                                                   kind, key):
+    real = _raw_json(kind, make_realization(kind, rng))
+    problem = _dump(tmp_path, "prob.json",
+                    {"realization": real, "options": {"h": 0, key: [0]}})
+    with pytest.raises(SystemExit) as e:
+        main(["build", "--kind", "structured:" + kind, "--problem", problem])
+    assert e.value.code == 2
+    assert capsys.readouterr().err == (
+        f"schema error: unknown keys in options of structured:{kind}: "
+        f"['{key}']\n")
+
+
+def _refusals():
+    """(kind, rule) for every rule of every table row."""
+    for kind, row in STRUCTURED_KINDS.items():
+        yield kind, "P"
+        yield kind, "A"
+        yield kind, "E"
+        if row.e_rule == "skew-symmetric":
+            yield kind, "no E"
+        if row.twisted:
+            yield kind, "odd r"
+
+
+@pytest.mark.parametrize("kind,rule", list(_refusals()))
+def test_each_realization_rule_refuses(capsys, tmp_path, rng, kind, rule):
+    row = STRUCTURED_KINDS[kind]
+    real = _raw_json(kind, make_realization(kind, rng))
+    want = (StructuralViolation, 4)
+    if rule == "P":
+        real["P"][0][0][1] += 1
+        message = f"P not {row.tag}"
+    elif rule == "A":
+        # J (A + J^T e_12) = J A + e_12 when twisted
+        real["A"][1 if row.twisted else 0][1] += 1
+        message = f"{'J A' if row.twisted else 'A'} not {row.a_rule}"
+    elif rule == "E" and row.e_rule == "I":
+        real["E"] = (5 * np.eye(2)).tolist()
+        message = f"{kind} realization has E = I"
+    elif rule == "E":
+        real["E"][0][1] += 1
+        message = f"E not {row.e_rule}"
+    elif rule == "no E":
+        del real["E"]
+        want, message = (ValueError, 2), f"{kind} realization needs E"
+    else:
+        real["A"], real["B"] = np.zeros((3, 3)).tolist(), np.ones((3, 2)).tolist()
+        message = f"{kind} realization needs even r"
+    with pytest.raises(want[0], match=message) as exc:
+        _library_realization(real)
+    assert exc.type is want[0]
+    problem = _dump(tmp_path, "prob.json", {"realization": real})
+    with pytest.raises(SystemExit) as e:
+        main(["build", "--kind", "structured:" + kind, "--problem", problem])
+    assert e.value.code == want[1]
+    assert message in capsys.readouterr().err
+
+
+def test_eig_on_a_singular_pencil_is_a_numeric_failure(capsys, tmp_path):
+    # X + lam Y = diag(1 + lam, 0): det vanishes identically
+    D = [[1, 0], [0, 0]]
+    pencil = _dump(tmp_path, "pencil.json",
+                   {"X": D, "Y": D, "m": 1, "n": 2, "r": 0})
+    with pytest.raises(SystemExit) as e:
+        main(["eig", "--pencil", pencil])
+    assert e.value.code == 5
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: singular pencil")
 
 
 def test_odd_h_exit_code(capsys, sym_problem):

@@ -7,9 +7,9 @@ import pytest
 from rosepencil.pencils import RecipeError, gfpr_poly
 from rosepencil.polymat import (STRUCTURE_TAGS, MatrixPolynomial,
                                 quasi_identity_matrix, structure_check)
-from rosepencil.realize import (Realization, StructuralViolation, jay,
-                                make_structured_realization, system_matrix,
-                                transfer_function_eval)
+from rosepencil.realize import (STRUCTURED_KINDS, Realization,
+                                StructuralViolation,
+                                make_structured_realization, system_matrix)
 from rosepencil.structured import (AmbiguousQuasiIdentity, QuasiIdentity,
                                    _even_odd_recipe, block_symmetric_gfpr,
                                    cauchy_maslov_index, find_quasi_identity,
@@ -20,7 +20,7 @@ from rosepencil.structured import (AmbiguousQuasiIdentity, QuasiIdentity,
                                    t_even_linearization, t_odd_linearization,
                                    t_pencil_tuples)
 from rosepencil.verify import det_proportionality
-from conftest import ints, make_realization, poly, square
+from conftest import ints, make_realization, square
 
 _BUILDERS = {
     "t-even": t_even_linearization,
@@ -30,20 +30,21 @@ _BUILDERS = {
     "skew-hamiltonian": skew_hamiltonian_linearization,
 }
 
-_TARGET = {
-    "t-even": "t-even", "hamiltonian": "t-even", "t-odd": "t-odd",
-    "skew-symmetric": "skew-symmetric", "skew-hamiltonian": "skew-symmetric",
-}
-
 
 def _exact_structure(kind, re, L):
     """The exact structure check of a built pencil, after J for the
     Hamiltonian kinds."""
-    cl = [L.X, L.Y]
-    if kind in ("hamiltonian", "skew-hamiltonian"):
-        J = jay(re.m * re.n, re.r)
-        cl = [J @ L.X, J @ L.Y]
-    return structure_check(cl, _TARGET[kind], exact=True)
+    row = STRUCTURED_KINDS[kind]
+    return structure_check(row.target_coeffs(L), row.tag, exact=True)
+
+
+@pytest.mark.parametrize("kind", list(STRUCTURED_KINDS))
+def test_builder_refuses_another_kind(kind, rng):
+    other = "t-odd" if kind == "symmetric" else "symmetric"
+    build = _BUILDERS.get(kind, symmetric_linearization)
+    with pytest.raises(StructuralViolation,
+                       match=f"expects a {kind} realization"):
+        build(make_realization(other, rng, m=3, ns_top=True), 0)
 
 
 @pytest.mark.parametrize("kind", sorted(_BUILDERS))
@@ -130,7 +131,7 @@ def test_quasi_identity_unique_on_family(rng):
         re = make_realization(kind, rng, m=4, ns_top=True)
         recipe = _even_odd_recipe(re, 0, None)
         LP = gfpr_poly(recipe, re.P)
-        qi = find_quasi_identity(LP, _TARGET[kind])
+        qi = find_quasi_identity(LP, STRUCTURED_KINDS[kind].tag)
         assert qi.signs[0] == 1
         assert len(qi.signs) == 4
 
