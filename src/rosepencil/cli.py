@@ -25,7 +25,7 @@ from .realize import STRUCTURED_KINDS, Realization, StructuralViolation, \
     make_structured_realization, system_matrix
 from .recover import RecoveryDiagnostic, VectorBundle, recover_from_gfpr, \
     recover_s_to_g
-from .structured import CmResolutionError, cauchy_maslov_index
+from .structured import cauchy_maslov_index
 from .verify import VerificationFailure, backward_errors, \
     det_proportionality, eig_multiset, infinity_structure, pencil_eigenvalues
 
@@ -86,6 +86,20 @@ def _mat_out(M):
     if not M.imag.any():
         return M.real.tolist()
     return [[_entry_out(v) for v in row] for row in M]
+
+
+def _ints_in(value, what):
+    """A JSON list of integers as a tuple."""
+    if not (isinstance(value, list) and all(type(v) is int for v in value)):
+        raise SchemaError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
+def _mats_in(value, what):
+    """None, or a JSON list of matrices as a tuple of arrays."""
+    if value is not None and not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list of matrices")
+    return None if value is None else tuple(_mat_in(M, what) for M in value)
 
 
 def _check_keys(obj, allowed, where):
@@ -149,19 +163,17 @@ def _parse_realization(obj):
 
 
 def _parse_recipe(obj):
-    allowed = {"m", "sigma", "tau", "sigma1", "sigma2", "tau1", "tau2",
-               "X1", "X2", "Y1", "Y2"}
-    _check_keys(obj, allowed, "recipe")
+    ints = ("sigma", "tau", "sigma1", "sigma2", "tau1", "tau2")
+    mats = ("X1", "X2", "Y1", "Y2")
+    _check_keys(obj, {"m", *ints, *mats}, "recipe")
     for key in ("m", "sigma", "tau"):
         if key not in obj:
             raise SchemaError(f"recipe is missing {key!r}")
-    kw = {"m": obj["m"]}
-    for key in ("sigma", "tau", "sigma1", "sigma2", "tau1", "tau2"):
-        kw[key] = tuple(obj.get(key, ()))
-    for key in ("X1", "X2", "Y1", "Y2"):
-        if obj.get(key) is not None:
-            kw[key] = tuple(_mat_in(M, key) for M in obj[key])
-    return GfprRecipe(**kw)
+    if type(obj["m"]) is not int:
+        raise SchemaError(f"recipe m must be an integer, got {obj['m']!r}")
+    kw = {key: _ints_in(obj.get(key, []), f"recipe {key}") for key in ints}
+    kw.update((key, _mats_in(obj.get(key), key)) for key in mats)
+    return GfprRecipe(m=obj["m"], **kw)
 
 
 def _pencil_out(L):
@@ -229,10 +241,12 @@ def _emit(data, args):
 
 def _option_in(key, value):
     if key in ("X", "Y"):
-        return None if value is None else tuple(_mat_in(M, key) for M in value)
-    if key == "z":
-        return tuple(value) if isinstance(value, list) else value
-    return tuple(value)
+        return _mats_in(value, f"option {key}")
+    if key == "h" or (key == "z" and not isinstance(value, list)):
+        if type(value) is int or (key == "z" and value is None):
+            return value
+        raise SchemaError(f"option {key} must be an integer, got {value!r}")
+    return _ints_in(value, f"option {key}")
 
 
 def _structured_build(re, kind, options):
@@ -244,7 +258,7 @@ def _structured_build(re, kind, options):
     kw = {k: _option_in(k, v) for k, v in options.items() if k in row.options}
     # looked up at call time, so a patched module attribute is the one run
     build = getattr(structured, kind.replace("-", "_") + "_linearization")
-    return build(re, int(options.get("h", 0)), **kw)
+    return build(re, _option_in("h", options.get("h", 0)), **kw)
 
 
 def cmd_build(args):
@@ -255,13 +269,13 @@ def cmd_build(args):
     if kind == "fp":
         if recipe_obj is None or "sigma" not in recipe_obj:
             raise SchemaError("fp build needs a recipe with 'sigma'")
-        L = fiedler_pencil(tuple(recipe_obj["sigma"]), re)
+        L = fiedler_pencil(_ints_in(recipe_obj["sigma"], "recipe sigma"), re)
     elif kind == "gfp":
         omega0 = options.get("omega0") or (recipe_obj or {}).get("omega0")
         omega1 = options.get("omega1") or (recipe_obj or {}).get("omega1")
         if omega0 is None or omega1 is None:
             raise SchemaError("gfp build needs omega0 and omega1")
-        L = gf_pencil(tuple(omega0), tuple(omega1), re)
+        L = gf_pencil(_ints_in(omega0, "omega0"), _ints_in(omega1, "omega1"), re)
     elif kind == "gfpr":
         if recipe_obj is None:
             raise SchemaError("gfpr build needs a recipe")
@@ -365,8 +379,8 @@ def cmd_eig(args):
 
 
 def cmd_cm_index(args):
-    re, _, options = _parse_problem(args.problem)
-    idx = cauchy_maslov_index(re, delta=args.delta, bound=args.bound)
+    re, _, _ = _parse_problem(args.problem)
+    idx = cauchy_maslov_index(re)
     _emit({"cauchy_maslov_index": idx}, args)
     return 0
 
@@ -434,8 +448,6 @@ def build_parser():
 
     sp = sub.add_parser("cm-index", help="Cauchy-Maslov index")
     sp.add_argument("--problem", required=True)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--bound", type=float, default=None)
     _common(sp)
 
     sp = sub.add_parser("examples", help="run the embedded example corpus")
@@ -460,7 +472,7 @@ def main(argv=None):
     except StructuralViolation as exc:
         print(f"structural violation: {exc}", file=sys.stderr)
         code = EXIT_STRUCTURAL
-    except (np.linalg.LinAlgError, CmResolutionError, RecoveryDiagnostic,
+    except (np.linalg.LinAlgError, RecoveryDiagnostic,
             VerificationFailure) as exc:
         # verify reports its failed checks itself and exits 6; an oracle
         # failing anywhere else (eig on a singular pencil) is numeric

@@ -40,12 +40,6 @@ class PolyMatrix:
     def constant(cls, M):
         return cls([np.asarray(M, dtype=complex)])
 
-    @classmethod
-    def monomial(cls, M, k):
-        M = np.asarray(M, dtype=complex)
-        stack = [np.zeros_like(M) for _ in range(k)] + [M]
-        return cls(stack)
-
     @property
     def shape(self):
         return self.coeffs.shape[1:]
@@ -83,11 +77,6 @@ class PolyMatrix:
                 out[a + b] += self.coeffs[a] @ other.coeffs[b]
         return PolyMatrix(out).trim()
 
-    def __rmatmul__(self, other):
-        if isinstance(other, np.ndarray):
-            return PolyMatrix.constant(other) @ self
-        return NotImplemented
-
     def _binop(self, other, sign):
         if isinstance(other, np.ndarray):
             other = PolyMatrix.constant(other)
@@ -109,10 +98,6 @@ class PolyMatrix:
     def transpose(self):
         return PolyMatrix(np.transpose(self.coeffs, (0, 2, 1)))
 
-    @property
-    def T(self):
-        return self.transpose()
-
     def conj_transpose(self):
         return PolyMatrix(np.conj(np.transpose(self.coeffs, (0, 2, 1))))
 
@@ -128,9 +113,6 @@ class PolyMatrix:
             if not np.allclose(self.coeff(k), other.coeff(k), rtol=0, atol=tol):
                 return False
         return True
-
-    def __repr__(self):
-        return f"PolyMatrix(shape={self.shape}, degree={self.degree})"
 
 
 class MatrixPolynomial(PolyMatrix):
@@ -224,17 +206,11 @@ _STRUCTURE_RULES = {
     "para-skew-hermitian": (True, lambda j: -((-1) ** j)),
 }
 
-_TAG_ALIASES = {
-    "hamiltonian": "t-even",
-    "skew-hamiltonian": "t-odd",
-}
-
-STRUCTURE_TAGS = tuple(_STRUCTURE_RULES) + tuple(_TAG_ALIASES)
+STRUCTURE_TAGS = tuple(_STRUCTURE_RULES)
 
 
 def normalize_tag(tag):
     tag = tag.lower().replace("_", "-")
-    tag = _TAG_ALIASES.get(tag, tag)
     if tag not in _STRUCTURE_RULES:
         raise ValueError(f"unknown structure tag {tag!r}")
     return tag

@@ -19,9 +19,8 @@ from .polymat import MatrixPolynomial, PolyMatrix, structure_check
 
 __all__ = [
     "Realization", "SystemMatrix", "system_matrix", "is_minimal",
-    "make_structured_realization", "transfer_function_eval",
-    "j_matrix", "jay", "StructuralViolation", "StructuredKind",
-    "STRUCTURED_KINDS",
+    "make_structured_realization", "j_matrix", "jay", "StructuralViolation",
+    "StructuredKind", "STRUCTURED_KINDS",
 ]
 
 
@@ -255,15 +254,3 @@ def skew_hamiltonian_to_skew_symmetric(re):
     # stored form has A = -A0, C = -B^T J^T; unwind before converting
     A0 = -re.A
     return make_structured_realization("skew-symmetric", re.P, J @ A0, J @ re.B, E=J)
-
-
-def transfer_function_eval(pencil, lam):
-    """Transfer function of a bordered pencil: with value blocks
-    [[T(lam), Cs], [Bs, D(lam)]] (split at mn), returns
-    T(lam) - Cs D(lam)^{-1} Bs."""
-    V = pencil.eval(lam)
-    k = pencil.m * pencil.n
-    T, Cs, Bs, D = V[:k, :k], V[:k, k:], V[k:, :k], V[k:, k:]
-    if D.size == 0:
-        return T
-    return T - Cs @ np.linalg.solve(D, Bs)

@@ -21,6 +21,7 @@ from .pencils import (BlockPencil, GfprRecipe, RecipeError, gfpr,
 from .polymat import (_STRUCTURE_RULES, _structure_tol, block_transpose_dense,
                       normalize_tag, quasi_identity_matrix, structure_check)
 from .realize import STRUCTURED_KINDS, StructuralViolation
+from .verify import VerificationFailure, _eig_clusters
 
 __all__ = [
     "QuasiIdentity", "AmbiguousQuasiIdentity", "find_quasi_identity",
@@ -327,63 +328,73 @@ def skew_hamiltonian_linearization(re, h=0, z=None, t_w=(), t_z=()):
 # ---------------------------------------------------------------------------
 # Cauchy-Maslov index
 
-class CmResolutionError(RuntimeError):
-    """Poles too close for the probe offset to separate them."""
+def _require_real_symmetric(name, Ms, rel):
+    """Refuse matrix name(i) of the stack Ms unless real symmetric to rel."""
+    tol = rel * np.abs(Ms).max(axis=(-2, -1))
+    for what, dev in (("real", Ms.imag), ("symmetric", Ms - np.swapaxes(Ms, -1, -2))):
+        bad = np.flatnonzero(np.abs(dev).max(axis=(-2, -1)) > tol)
+        if bad.size:
+            raise StructuralViolation(f"{name(bad[0])} is not {what}; the "
+                                      "Cauchy-Maslov index needs a real symmetric G")
 
 
-def _cm_core(eval_fn, poles, delta, bound):
-    poles = sorted(poles)
-    deltas = [delta if delta is not None else 1e-4 * (1.0 + abs(p)) for p in poles]
-    for (p1, d1), (p2, d2) in zip(zip(poles, deltas), zip(poles[1:], deltas[1:])):
-        if p2 - p1 < 2 * (d1 + d2):
-            raise CmResolutionError(
-                f"poles {p1} and {p2} are closer than the probe offsets")
-    idx = 0
+def _cm_residues(P, C, E, A, B):
+    """(index, details) of G = P + C (lam E - A)^{-1} B, P a coefficient stack.
+
+    One QZ of (A, E) with left and right vectors gives the real poles,
+    clustered as pencil_eigenvalues clusters them.  At a cluster p with
+    right and left vectors V and U (unit columns), G has the residue
+    R = C V M^{-1} U^H B, M = U^H E V, and the eigenvalues of G through
+    infinity at p jump with the signs of R's nonzero eigenvalues: those
+    of M^{-1} U^H B C V, read against no threshold.  R must be real
+    symmetric to 1e-6 relative, or to 100 err when the pole's error
+    bound err = eps (||A|| + |p| ||E||) ||M^{-1}|| is larger.  Clusters
+    of one size go through numpy's stacked linear algebra together."""
+    _require_real_symmetric(lambda i: "P", np.asarray(P), 1e-12)
+    if A.shape[0] == 0:
+        return 0, []
+    clusters, vl, vr = _eig_clusters(-A, E, vectors=True)
+    real = [(z.real, c) for z, c in clusters if abs(z.imag) <= 1e-8 * (1.0 + abs(z))]
+    norm_a, norm_e, norm_c, norm_b = (
+        max(float(np.linalg.norm(W)), 1e-300) for W in (A, E, C, B))
+    MM, CVs, UBs = vl.conj().T @ E @ vr, C @ vr / norm_c, vl.conj().T @ B / norm_b
     details = []
-    for p, d in zip(poles, deltas):
-        # adaptive default: a residue of size rho produces probe values of
-        # magnitude rho/d, so 0.1/d registers every residue above 0.1
-        M = bound if bound is not None else 0.1 / d
-        jumps = {}
-        for side, lam in (("-", p - d), ("+", p + d)):
-            G = eval_fn(lam)
-            if np.max(np.abs(G.imag)) > 1e-8 * max(np.max(np.abs(G)), 1.0):
-                raise StructuralViolation(f"G({lam}) is not real; Cauchy-Maslov "
-                                          "index needs a real symmetric matrix")
-            ev = np.linalg.eigvalsh((G.real + G.real.T) / 2.0)
-            jumps[side] = (int(np.sum(ev < -M)), int(np.sum(ev > M)))
-        plus = min(jumps["-"][0], jumps["+"][1])    # -inf -> +inf
-        minus = min(jumps["-"][1], jumps["+"][0])   # +inf -> -inf
-        idx += plus - minus
-        details.append((p, plus, minus))
-    return idx, details
+    for k in sorted({len(c) for _, c in real}):
+        p = np.array([z for z, c in real if len(c) == k])
+        ix = np.array([c for _, c in real if len(c) == k])
+        M = MM[ix[:, :, None], ix[:, None, :]]
+        CV, UB = CVs[:, ix].swapaxes(0, 1), UBs[ix]
+        smin = np.maximum(np.linalg.svd(M, compute_uv=False)[:, -1], 1e-300)
+        err = np.finfo(float).eps * (norm_a + np.abs(p) * norm_e) / smin
+        # PBH at p: C V and U^H B of full rank k, to is_minimal's 1e-10
+        pbh = np.linalg.svd(np.concatenate([CV, UB.swapaxes(1, 2)]), compute_uv=False)
+        low = (pbh.shape[1] < k) | (pbh[:, -1].reshape(2, -1).min(0) <= 1e-10)
+        for bad, what in ((err >= 1.0, "pencil is defective"),  # M singular
+                          (low, "realization is not minimal")):
+            if bad.any():
+                raise VerificationFailure(f"the {what} at the real pole {p[bad][0]:g}")
+        W = np.linalg.solve(M, UB)
+        _require_real_symmetric(lambda i: f"the residue at the real pole {p[i]:g}",
+                                CV @ W, np.maximum(1e-6, 100 * err))
+        jumps = np.linalg.eigvals(W @ CV).real
+        details += zip(p.tolist(), *((s * jumps > 0).sum(1).tolist() for s in (1, -1)))
+    return sum(plus - minus for _, plus, minus in details), sorted(details)
 
 
-def cauchy_maslov_index(re_or_pencil, delta=None, bound=None, details=False):
+def cauchy_maslov_index(re_or_pencil, details=False):
     """Cauchy-Maslov index of a real symmetric G (realization input) or
     of the transfer function of a real symmetric linearization (pencil
-    input): sum over real poles of the eigenvalue jumps through
-    infinity, sign-counted."""
-    from .realize import transfer_function_eval
-    from .verify import pencil_eigenvalues
-
-    if isinstance(re_or_pencil, BlockPencil):
-        pencil = re_or_pencil
-        k = pencil.m * pencil.n
-
-        def ev(lam):
-            return transfer_function_eval(pencil, lam)
-
-        eigs = pencil_eigenvalues(pencil.X[k:, k:], pencil.Y[k:, k:])
+    input, split at mn: P = X11 + lam Y11, C = X12, B = X21, A = X22,
+    E = -Y22): the sum of the residue signatures at the real poles.  G
+    not real symmetric is a StructuralViolation; a real pole that is not
+    minimal or not semisimple, a VerificationFailure."""
+    src = re_or_pencil
+    if isinstance(src, BlockPencil):
+        k, X, Y = src.m * src.n, src.X, src.Y
+        if Y[:k, k:].any() or Y[k:, :k].any():
+            raise StructuralViolation("the pencil's borders depend on lam")
+        out = _cm_residues([X[:k, :k], Y[:k, :k]], X[:k, k:], -Y[k:, k:],
+                           X[k:, k:], X[k:, :k])
     else:
-        re = re_or_pencil
-
-        def ev(lam):
-            return re.g_eval(lam)
-
-        if re.r == 0:
-            return (0, []) if details else 0
-        eigs = pencil_eigenvalues(re.A, -re.E)
-    poles = [z.real for z, _ in eigs if abs(z.imag) <= 1e-8 * (1.0 + abs(z))]
-    idx, det = _cm_core(ev, poles, delta, bound)
-    return (idx, det) if details else idx
+        out = _cm_residues(src.P.coeffs, src.C, src.E, src.A, src.B)
+    return out if details else out[0]

@@ -89,22 +89,18 @@ def _real_if_real(X, Y):
     return X.real, Y.real
 
 
-def pencil_eigenvalues(X, Y=None, cluster_tol=1e-6):
-    """Finite eigenvalues of the pencil X + lam Y with multiplicities.
-
-    QZ on (-X, Y) gives pairs (alpha, beta) with lam = alpha / beta.  With
-    a = |alpha| / ||X|| and b = |beta| / ||Y||, a pair with a and b both
-    at most sqrt(eps) makes the pencil numerically singular, and a pair
-    with only b that small is an eigenvalue at infinity.  Finite
-    eigenvalues within cluster_tol (relative) are merged.  Data with no
-    nonzero imaginary part, whatever its dtype, goes through real QZ, so
-    conjugate pairs are exact and real eigenvalues have imaginary part 0."""
-    if Y is None:
-        X, Y = X.X, X.Y
+def _eig_clusters(X, Y, cluster_tol=1e-6, vectors=False):
+    """The finite eigenvalues of pencil_eigenvalues as (mean, indices)
+    clusters, each value joining the cluster before it when within
+    cluster_tol (relative) of its running mean, and with vectors the
+    left and right eigenvectors (unit columns)."""
     X, Y = _real_if_real(X, Y)
-    if X.shape[0] == 0:
-        return []
-    alpha, beta = scipy.linalg.eigvals(-X, Y, homogeneous_eigvals=True)
+    if vectors:
+        (alpha, beta), vl, vr = scipy.linalg.eig(
+            -X, Y, left=True, right=True, homogeneous_eigvals=True)
+    else:
+        alpha, beta = scipy.linalg.eigvals(-X, Y, homogeneous_eigvals=True)
+        vl = vr = None
     if X.dtype != complex:
         # real QZ lists a conjugate pair as j (imaginary part > 0), j + 1,
         # with betas that may differ; mirror j onto j + 1 so the pair is
@@ -118,16 +114,33 @@ def pencil_eigenvalues(X, Y=None, cluster_tol=1e-6):
     b = np.abs(beta) / max(float(np.linalg.norm(Y)), 1e-300)
     if np.any((a <= tol) & (b <= tol)):
         raise VerificationFailure("singular pencil: determinant vanishes identically")
-    finite = sorted(alpha[b > tol] / beta[b > tol],
-                    key=lambda z: (round(z.real, 8), round(z.imag, 8)))
+    z = alpha / np.where(b > tol, beta, 1.0)
     out = []
-    for z in finite:
-        if out and abs(z - out[-1][0]) <= cluster_tol * (1.0 + abs(z)):
-            zc, k = out[-1]
-            out[-1] = ((zc * k + z) / (k + 1), k + 1)
+    for i in sorted(np.flatnonzero(b > tol),
+                    key=lambda i: (round(z[i].real, 8), round(z[i].imag, 8))):
+        if out and abs(z[i] - out[-1][0]) <= cluster_tol * (1.0 + abs(z[i])):
+            zc, idx = out[-1]
+            out[-1] = ((zc * len(idx) + z[i]) / (len(idx) + 1), idx + [i])
         else:
-            out.append((z, 1))
-    return [(complex(z), int(k)) for z, k in out]
+            out.append((z[i], [i]))
+    return out, vl, vr
+
+
+def pencil_eigenvalues(X, Y=None, cluster_tol=1e-6):
+    """Finite eigenvalues of the pencil X + lam Y with multiplicities.
+
+    QZ on (-X, Y) gives pairs (alpha, beta) with lam = alpha / beta.  With
+    a = |alpha| / ||X|| and b = |beta| / ||Y||, a pair with a and b both
+    at most sqrt(eps) makes the pencil numerically singular, and a pair
+    with only b that small is an eigenvalue at infinity.  Finite
+    eigenvalues within cluster_tol (relative) are merged.  Data with no
+    nonzero imaginary part, whatever its dtype, goes through real QZ, so
+    conjugate pairs are exact and real eigenvalues have imaginary part 0."""
+    if Y is None:
+        X, Y = X.X, X.Y
+    if np.shape(X)[0] == 0:
+        return []
+    return [(complex(z), len(idx)) for z, idx in _eig_clusters(X, Y, cluster_tol)[0]]
 
 
 def eig_multiset(pairs):

@@ -4,8 +4,11 @@ The witness identities of the paper's appendix, U (e_1 (x) I) =
 Lambda_alpha, (e_1^T (x) I) V = Omega_alpha and the block-elimination
 corollary, are facts about P alone; the tests check them here.  The
 product of system-matrix Fiedler factors is the reference the bordered
-builders of ``rosepencil.pencils`` are compared against.  Nothing in
-the library calls this module.
+builders of ``rosepencil.pencils`` are compared against.  The probe
+Cauchy-Maslov index counts eigenvalue jumps of G at p +/- delta; it is
+the reference for the residue signatures of ``cauchy_maslov_index`` at
+sizes where its offset and threshold resolve every pole (residues near
+1, poles well apart).  Nothing in the library calls this module.
 """
 
 from dataclasses import dataclass
@@ -13,8 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from rosepencil import tuples as tp
-from rosepencil.pencils import _assign_product, _resolve_assignment
+from rosepencil.pencils import BlockPencil, _assign_product, _resolve_assignment
 from rosepencil.polymat import PolyMatrix, _blk, elementary_matrix
+from rosepencil.realize import StructuralViolation
+from rosepencil.verify import pencil_eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +293,77 @@ def product_equal(t1, t2, context, a1=None, a2=None, tol=0.0):
     if tol == 0.0:
         return bool(np.array_equal(M1, M2))
     return bool(np.max(np.abs(M1 - M2)) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# transfer function of a bordered pencil, and the probe Cauchy-Maslov index
+
+def transfer_function_eval(pencil, lam):
+    """Transfer function of a bordered pencil: with value blocks
+    [[T(lam), Cs], [Bs, D(lam)]] (split at mn), returns
+    T(lam) - Cs D(lam)^{-1} Bs."""
+    V = pencil.eval(lam)
+    k = pencil.m * pencil.n
+    T, Cs, Bs, D = V[:k, :k], V[:k, k:], V[k:, :k], V[k:, k:]
+    if D.size == 0:
+        return T
+    return T - Cs @ np.linalg.solve(D, Bs)
+
+
+class CmResolutionError(RuntimeError):
+    """Poles too close for the probe offset to separate them."""
+
+
+def _cm_core(eval_fn, poles, delta, bound):
+    poles = sorted(poles)
+    deltas = [delta if delta is not None else 1e-4 * (1.0 + abs(p)) for p in poles]
+    for (p1, d1), (p2, d2) in zip(zip(poles, deltas), zip(poles[1:], deltas[1:])):
+        if p2 - p1 < 2 * (d1 + d2):
+            raise CmResolutionError(
+                f"poles {p1} and {p2} are closer than the probe offsets")
+    idx = 0
+    details = []
+    for p, d in zip(poles, deltas):
+        # adaptive default: a residue of size rho produces probe values of
+        # magnitude rho/d, so 0.1/d registers every residue above 0.1
+        M = bound if bound is not None else 0.1 / d
+        jumps = {}
+        for side, lam in (("-", p - d), ("+", p + d)):
+            G = eval_fn(lam)
+            if np.max(np.abs(G.imag)) > 1e-8 * max(np.max(np.abs(G)), 1.0):
+                raise StructuralViolation(f"G({lam}) is not real; Cauchy-Maslov "
+                                          "index needs a real symmetric matrix")
+            ev = np.linalg.eigvalsh((G.real + G.real.T) / 2.0)
+            jumps[side] = (int(np.sum(ev < -M)), int(np.sum(ev > M)))
+        plus = min(jumps["-"][0], jumps["+"][1])    # -inf -> +inf
+        minus = min(jumps["-"][1], jumps["+"][0])   # +inf -> -inf
+        idx += plus - minus
+        details.append((p, plus, minus))
+    return idx, details
+
+
+def probe_cauchy_maslov_index(re_or_pencil, delta=None, bound=None, details=False):
+    """Cauchy-Maslov index of a real symmetric G (realization input) or
+    of the transfer function of a real symmetric linearization (pencil
+    input): sum over real poles of the eigenvalue jumps through
+    infinity, sign-counted."""
+    if isinstance(re_or_pencil, BlockPencil):
+        pencil = re_or_pencil
+        k = pencil.m * pencil.n
+
+        def ev(lam):
+            return transfer_function_eval(pencil, lam)
+
+        eigs = pencil_eigenvalues(pencil.X[k:, k:], pencil.Y[k:, k:])
+    else:
+        re = re_or_pencil
+
+        def ev(lam):
+            return re.g_eval(lam)
+
+        if re.r == 0:
+            return (0, []) if details else 0
+        eigs = pencil_eigenvalues(re.A, -re.E)
+    poles = [z.real for z, _ in eigs if abs(z.imag) <= 1e-8 * (1.0 + abs(z))]
+    idx, det = _cm_core(ev, poles, delta, bound)
+    return (idx, det) if details else idx

@@ -428,7 +428,7 @@ def test_criterion_8_cauchy_maslov():
         ok = False
     _report(8, ok, f"scalar battery (+1, -1, +2) and 2x2 two-real-pole "
                    f"instance: Ind_CM(G) == Ind_CM(linearization) == "
-                   f"{got_g} at default grid parameters", t0)
+                   f"{got_g}", t0)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,8 @@ def test_verify_skew_symmetric_large_eigenvalue(capsys, tmp_path):
     ["build", "--kind", "fp", "--problem", "p.json", "--seed", "3"],
     ["eig", "--pencil", "p.json", "--paranoid"],
     ["verify", "--problem", "p.json", "--pencil", "p.json", "--paranoid"],
+    ["cm-index", "--problem", "p.json", "--delta", "1"],
+    ["cm-index", "--problem", "p.json", "--bound", "1"],
 ])
 def test_flags_scoped_to_their_subcommands(capsys, argv):
     with pytest.raises(SystemExit) as e:
@@ -337,6 +339,36 @@ def test_eig_on_a_singular_pencil_is_a_numeric_failure(capsys, tmp_path):
         "numeric failure: singular pencil")
 
 
+_T_EVEN_1X1 = {"kind": "t-even", "P": [[[1]], [[0]], [[1]]],
+               "A": [[1, 0], [0, 1]], "B": [[1], [1]], "E": [[0, 1], [-1, 0]]}
+_GEN_1X1 = {"kind": "general", "P": [[[1]], [[1]]], "C": [[1]], "A": [[1]],
+            "B": [[1]]}
+_RECIPE = {"m": 1, "sigma": [0], "tau": [-1]}
+
+
+@pytest.mark.parametrize("kind, realization, options, recipe", [
+    ("structured:t-even", _T_EVEN_1X1, {"h": "x"}, None),
+    ("structured:t-even", _T_EVEN_1X1, {"h": [1]}, None),
+    ("structured:t-even", _T_EVEN_1X1, {"z": 5.5}, None),
+    ("structured:t-even", _T_EVEN_1X1, {"z": [[1]]}, None),
+    ("gfpr", _GEN_1X1, {}, dict(_RECIPE, sigma=5)),
+    ("gfpr", _GEN_1X1, {}, dict(_RECIPE, m="2")),
+    ("gfpr", _GEN_1X1, {}, dict(_RECIPE, sigma=[[0], 1])),
+    ("gfpr", _GEN_1X1, {}, dict(_RECIPE, X1=3)),
+    ("fp", _GEN_1X1, {}, {"sigma": 1}),
+], ids=["h-str", "h-list", "z-float", "z-nested", "sigma-int", "m-str",
+        "sigma-nested", "X1-int", "fp-sigma-int"])
+def test_bad_option_or_recipe_value_is_schema_error(capsys, tmp_path, kind,
+                                                    realization, options,
+                                                    recipe):
+    doc = {"realization": realization, "options": options}
+    if recipe is not None:
+        doc["recipe"] = recipe
+    code, out = run(capsys, "build", "--kind", kind,
+                    "--problem", _dump(tmp_path, "prob.json", doc))
+    assert code == 2 and out == ""
+
+
 def test_odd_h_exit_code(capsys, sym_problem):
     code, _ = run(capsys, "structured", "--kind", "symmetric",
                   "--h", "1", "--spec", sym_problem)
@@ -476,6 +508,37 @@ def test_cm_index_complex_symmetric_is_structural(capsys, tmp_path):
                         "A": [[2]], "B": [["1+1j"]], "E": [[1]]}})
     code, out = run(capsys, "cm-index", "--problem", prob)
     assert code == 4
+    assert out == ""
+
+
+def test_cm_index_small_residue(capsys, tmp_path):
+    # G = 1 + lam^2 + 0.09/(lam - 1): index +1 however small the residue
+    prob = _dump(tmp_path, "cm.json", {
+        "realization": {"kind": "symmetric", "P": [[[1]], [[0]], [[1]]],
+                        "A": [[1]], "B": [[0.3]], "E": [[1]]}})
+    code, out = run(capsys, "cm-index", "--problem", prob)
+    assert code == 0
+    assert json.loads(out)["cauchy_maslov_index"] == 1
+
+
+def test_cm_index_non_symmetric_is_structural(capsys, tmp_path):
+    # G = lam I + [[0, 1], [0, 0]]/(lam - 1) has a non-symmetric residue
+    prob = _dump(tmp_path, "cm.json", {
+        "realization": {"kind": "general", "P": [[[0, 0], [0, 0]],
+                                                 [[1, 0], [0, 1]]],
+                        "C": [[1], [0]], "A": [[1]], "B": [[0, 1]]}})
+    code, out = run(capsys, "cm-index", "--problem", prob)
+    assert code == 4
+    assert out == ""
+
+
+def test_cm_index_non_minimal_is_numeric(capsys, tmp_path):
+    # the pole at 2 is unobservable: the residue there is 0
+    prob = _dump(tmp_path, "cm.json", {
+        "realization": {"kind": "symmetric", "P": [[[0]], [[1]]],
+                        "A": [[1, 0], [0, 2]], "B": [[1], [0]]}})
+    code, out = run(capsys, "cm-index", "--problem", prob)
+    assert code == 5
     assert out == ""
 
 

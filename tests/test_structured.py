@@ -19,8 +19,9 @@ from rosepencil.structured import (AmbiguousQuasiIdentity, QuasiIdentity,
                                    symmetric_linearization, symmetric_recipe,
                                    t_even_linearization, t_odd_linearization,
                                    t_pencil_tuples)
-from rosepencil.verify import det_proportionality
+from rosepencil.verify import VerificationFailure, det_proportionality
 from conftest import ints, make_realization, square
+from lemma_oracles import probe_cauchy_maslov_index
 
 _BUILDERS = {
     "t-even": t_even_linearization,
@@ -311,3 +312,147 @@ def test_cm_rejects_nonreal(rng):
                      structure="symmetric")
     idx = cauchy_maslov_index(re)
     assert idx == 0  # no real poles: empty jump count
+
+
+def _congruent(rng, s, poles, n, T, b_norm=1.0):
+    """Symmetric realization with E = T^T diag(s) T, A = T^T diag(p s) T
+    and B = T^T b, rows of b of norm b_norm: G = P + sum_i s_i b_i b_i^T /
+    (lam - p_i), whose index is sum(s)."""
+    r = len(s)
+    b = rng.normal(size=(r, n))
+    b *= b_norm / np.linalg.norm(b, axis=1, keepdims=True)
+    P = MatrixPolynomial([0.3 * (M + M.T) for M in rng.normal(size=(2, n, n))])
+    E = T.T @ np.diag(s) @ T
+    A = T.T @ np.diag(np.asarray(poles) * s) @ T
+    return make_structured_realization("symmetric", P, (A + A.T) / 2, T.T @ b,
+                                       E=(E + E.T) / 2)
+
+
+def _from_both(re):
+    """(index, details) from the realization and from its symmetric
+    linearization."""
+    return [cauchy_maslov_index(src, details=True)
+            for src in (re, symmetric_linearization(re, 0))]
+
+
+@pytest.mark.parametrize("b2, p", [(0.09, 1.0), (1.0, 100.0)])
+def test_cm_small_residue_and_far_pole(b2, p):
+    # G = 1 + lam^2 + b2/(lam - p); a probe at p +/- 1e-4 (1 + |p|) with
+    # threshold 0.1/delta misses both jumps
+    P = MatrixPolynomial([np.eye(1), np.zeros((1, 1)), np.eye(1)])
+    re = make_structured_realization("symmetric", P, np.array([[p]]),
+                                     np.array([[np.sqrt(b2)]]), E=np.eye(1))
+    for idx, details in _from_both(re):
+        assert idx == 1
+        assert [d[1:] for d in details] == [(1, 0)]
+        assert details[0][0] == pytest.approx(p)
+
+
+def test_cm_small_residues_poles_to_100(rng):
+    # residues of norm 1e-2, poles spread over [-100, 100]
+    r = 8
+    s = rng.choice([-1.0, 1.0], size=r)
+    p = np.linspace(-100.0, 100.0, r) + rng.uniform(-5.0, 5.0, size=r)
+    T = rng.normal(size=(r, r)) + 3.0 * np.eye(r)
+    re = _congruent(rng, s, p, 2, T, b_norm=0.1)
+    for idx, details in _from_both(re):
+        assert idx == int(s.sum())
+        found = [pole for pole, _, _ in details]
+        assert np.allclose(found, np.sort(p), rtol=1e-8)
+
+
+@pytest.mark.parametrize("gap, at", [(1e-2, -60.0), (1e-5, 2.0)])
+def test_cm_close_poles(gap, at):
+    # two poles gap apart at p = at, among four more spread to +/-60
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        r = 6
+        s = rng.choice([-1.0, 1.0], size=r)
+        p = np.linspace(-60.0, 60.0, r) + rng.uniform(-3.0, 3.0, size=r)
+        p[:2] = at, at + gap
+        T = rng.normal(size=(r, r)) + 3.0 * np.eye(r)
+        re = _congruent(rng, s, p, 2, T)
+        for idx, details in _from_both(re):
+            assert idx == int(s.sum())
+            assert np.allclose([d[0] for d in details], np.sort(p), rtol=1e-8)
+
+
+def test_cm_coincident_poles(rng):
+    # two poles at 1.5 make one cluster, whose rank-2 residue carries both
+    # signs
+    r = 5
+    s = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+    p = np.array([1.5, 1.5, -3.0, 0.0, 3.0])
+    T = rng.normal(size=(r, r)) + 3.0 * np.eye(r)
+    re = _congruent(rng, s, p, 2, T)
+    for idx, details in _from_both(re):
+        assert idx == 1
+        assert [d[1:] for d in details] == [(1, 0), (1, 0), (1, 1), (0, 1)]
+
+
+def test_cm_non_symmetric_is_refused():
+    # G = lam I + [[0, 1], [0, 0]]/(lam - 1)
+    P = MatrixPolynomial([np.zeros((2, 2)), np.eye(2)])
+    re = Realization(P, C=np.array([[1.0], [0.0]], dtype=complex),
+                     E=np.eye(1, dtype=complex), A=np.eye(1, dtype=complex),
+                     B=np.array([[0.0, 1.0]], dtype=complex))
+    for source in (re, block_symmetric_gfpr(re, 0)):
+        with pytest.raises(StructuralViolation, match="not symmetric"):
+            cauchy_maslov_index(source)
+
+
+def test_cm_hermite_hurwitz_ill_conditioned():
+    # a minimal symmetric realization has index sig(E), here with
+    # cond(T) = 1e6 and so min|eig E| / max|eig E| <= 1e-9
+    for seed, r in enumerate((4, 6, 8, 8, 10)):
+        rng = np.random.default_rng(100 + seed)
+        Q1, _ = np.linalg.qr(rng.normal(size=(r, r)))
+        Q2, _ = np.linalg.qr(rng.normal(size=(r, r)))
+        T = Q1 @ np.diag(np.logspace(0.0, -6.0, r)) @ Q2.T
+        s = rng.choice([-1.0, 1.0], size=r)
+        p = np.linspace(-4.0, 4.0, r) + rng.uniform(-0.3, 0.3, size=r)
+        re = _congruent(rng, s, p, 2, T)
+        ev = np.linalg.eigvalsh(re.E.real)
+        assert np.abs(ev).min() / np.abs(ev).max() <= 1e-9
+        sig_e = int(np.sum(ev > 0) - np.sum(ev < 0))
+        for idx, details in _from_both(re):
+            assert idx == sig_e == int(s.sum())
+            assert len(details) == r
+
+
+def test_cm_refuses_a_defective_pole():
+    # E^{-1} A is a Jordan block at 1
+    P = MatrixPolynomial([np.zeros((1, 1)), np.eye(1)])
+    re = make_structured_realization(
+        "symmetric", P, np.array([[0.0, 1.0], [1.0, 1.0]]),
+        np.array([[1.0], [0.3]]), E=np.array([[0.0, 1.0], [1.0, 0.0]]))
+    for source in (re, symmetric_linearization(re, 0)):
+        with pytest.raises(VerificationFailure, match="defective"):
+            cauchy_maslov_index(source)
+
+
+def test_cm_refuses_a_non_minimal_pole():
+    P = MatrixPolynomial([np.zeros((1, 1)), np.eye(1)])
+    re = make_structured_realization("symmetric", P, np.diag([1.0, 2.0]),
+                                     np.array([[1.0], [0.0]]))
+    for source in (re, symmetric_linearization(re, 0)):
+        with pytest.raises(VerificationFailure, match="not minimal"):
+            cauchy_maslov_index(source)
+
+
+def test_cm_agrees_with_the_probe(rng):
+    # residues of norm 1 and poles in [-4, 4] at least 0.3 apart: the
+    # probe's offset and threshold resolve every pole
+    for r in (2, 5, 8):
+        s = rng.choice([-1.0, 1.0], size=r)
+        p = np.linspace(-4.0, 4.0, r) + rng.uniform(-0.1, 0.1, size=r)
+        T = rng.normal(size=(r, r)) + 3.0 * np.eye(r)
+        re = _congruent(rng, s, p, 3, T)
+        L = symmetric_linearization(re, 0)
+        for source in (re, L):
+            idx, details = cauchy_maslov_index(source, details=True)
+            want, want_details = probe_cauchy_maslov_index(source, details=True)
+            assert idx == want == int(s.sum())
+            assert [d[1:] for d in details] == [d[1:] for d in want_details]
+            assert np.allclose([d[0] for d in details],
+                               [d[0] for d in want_details], rtol=1e-8)
