@@ -4,9 +4,9 @@ of rational matrices given in state-space realization form.
 Subpackages/modules:
 
 - ``tuples``      index-tuple combinatorics (SIP, csf, consecutions, RCISS, ...)
-- ``polymat``     matrix polynomials, elementary matrices, block transpose
+- ``polymat``     matrix polynomials, block transpose, structure predicates
 - ``realize``     realizations G(lam) = P(lam) + C (lam E - A)^{-1} B and system matrices
-- ``pencils``     FP / GFP / GFPR pencil builders (polynomial pencil of P, bordered)
+- ``pencils``     FP / GFP / GFPR pencil builders (block-window products, bordered)
 - ``structured``  block-symmetric, symmetric, T-even/T-odd, (skew-)Hamiltonian,
                   skew-symmetric linearizations; quasi-identity signs; Cauchy-Maslov index
 - ``recover``     eigenvector / minimal-basis / minimal-index recovery maps

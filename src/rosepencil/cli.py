@@ -88,6 +88,13 @@ def _mat_out(M):
     return [[_entry_out(v) for v in row] for row in M]
 
 
+def _int_in(value, what):
+    """A JSON integer."""
+    if type(value) is not int:
+        raise SchemaError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _ints_in(value, what):
     """A JSON list of integers as a tuple."""
     if not (isinstance(value, list) and all(type(v) is int for v in value)):
@@ -169,11 +176,9 @@ def _parse_recipe(obj):
     for key in ("m", "sigma", "tau"):
         if key not in obj:
             raise SchemaError(f"recipe is missing {key!r}")
-    if type(obj["m"]) is not int:
-        raise SchemaError(f"recipe m must be an integer, got {obj['m']!r}")
     kw = {key: _ints_in(obj.get(key, []), f"recipe {key}") for key in ints}
     kw.update((key, _mats_in(obj.get(key), key)) for key in mats)
-    return GfprRecipe(m=obj["m"], **kw)
+    return GfprRecipe(m=_int_in(obj["m"], "recipe m"), **kw)
 
 
 def _pencil_out(L):
@@ -204,15 +209,16 @@ def _parse_pencil(obj):
             raise SchemaError(f"pencil is missing {key!r}")
     prov = {}
     if "quasi_identity" in obj:
-        prov["quasi_identity"] = tuple(obj["quasi_identity"])
+        prov["quasi_identity"] = _ints_in(obj["quasi_identity"], "quasi_identity")
     if "target" in obj:
         prov["target"] = obj["target"]
     if "recipe" in obj:
         prov["recipe"] = _parse_recipe(obj["recipe"])
+    sizes = [_int_in(obj[key], f"pencil {key}") for key in ("m", "n", "r")]
+    blocks = [None if obj.get(key) is None else _int_in(obj[key], f"pencil {key}")
+              for key in ("col_block", "row_block")]
     return BlockPencil(_mat_in(obj["X"], "X"), _mat_in(obj["Y"], "Y"),
-                       obj["m"], obj["n"], obj["r"],
-                       obj.get("col_block"), obj.get("row_block"),
-                       provenance=prov)
+                       *sizes, *blocks, provenance=prov)
 
 
 def _parse_problem(path):
@@ -224,6 +230,9 @@ def _parse_problem(path):
     recipe = obj.get("recipe")
     options = obj.get("options", {})
     _check_keys(options, _OPTIONS, "options")
+    tol = options.get("tol", 1.0)
+    if type(tol) not in (int, float) or not cmath.isfinite(tol):
+        raise SchemaError(f"option tol must be a finite number, got {tol!r}")
     return re, recipe, options
 
 

@@ -7,8 +7,8 @@ builders set X = -(product without the lam factor) and Y = (lam factor).
 Every builder forms the mn x mn polynomial pencil of P from Fiedler
 factors of P and borders it operation-free: C in the column of block
 u = m - i_0, B in the row of block v = m - c_0, and A - lam*E in the
-r x r corner.  The product of system-matrix Fiedler factors, which
-yields the same pencil, serves as a test oracle only.
+r x r corner.  Dense products of elementary and system-matrix Fiedler
+factors, which yield the same pencil, serve as test oracles only.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tuples as tp
-from .polymat import PolyMatrix, elementary_matrix
+from .polymat import PolyMatrix
 
 __all__ = [
     "BlockPencil", "GfprRecipe", "RecipeError",
@@ -76,14 +76,38 @@ def _resolve_assignment(t, mats, P):
     mats = tuple(np.asarray(M, dtype=complex) for M in mats)
     if len(mats) != len(t):
         raise RecipeError(f"assignment length {len(mats)} != tuple length {len(t)}")
+    for M in mats:
+        if M.shape != (P.n, P.n):
+            raise RecipeError(f"assignment of shape {M.shape} is not {P.n}x{P.n}")
     return mats
 
 
 def _assign_product(t, mats, m, n):
-    """Product of M_i(X_i) over the tuple, left to right."""
+    """Product of M_i(X_i) over the tuple, left to right, at O(mn n^2) per
+    factor: M_i(X) is the identity outside block window w, which holds X
+    (i = 0: last block; i = -m: first) or [[X, I], [I, 0]] (i > 0) or
+    [[0, I], [I, X]] (i < 0) at blocks m -/+ i and the next, so
+    out @ M_i(X) changes only out[:, w]."""
     out = np.eye(m * n, dtype=complex)
+    pos = np.zeros((2 * n, 2 * n), dtype=complex)
+    pos[:n, n:] = pos[n:, :n] = np.eye(n)
+    neg = pos.copy()  # the windows, X written in per factor
     for i, X in zip(t, mats):
-        out = out @ elementary_matrix(i, X, m, n)
+        X = np.asarray(X, dtype=complex)
+        if X.shape != (n, n):
+            raise ValueError(f"X must be {n}x{n}")
+        if not -m <= i <= m - 1:
+            raise ValueError(f"index {i} out of range {{-{m}:{m - 1}}}")
+        if i in (0, -m):
+            k, W = (m if i == 0 else 1), X
+        elif i > 0:
+            k, W = m - i, pos
+            W[:n, :n] = X
+        else:
+            k, W = m + i, neg
+            W[n:, n:] = X
+        w = slice((k - 1) * n, (k - 1) * n + W.shape[0])
+        out[:, w] = out[:, w] @ W
     return out
 
 
@@ -182,17 +206,22 @@ def _bordered(XP, YP, re, u, v, prov):
     return BlockPencil(X, Y, m, n, r, col_block=u, row_block=v, provenance=prov)
 
 
+def _fiedler_product_pencil(omega0, tau, re, prov):
+    """lam * MS_tau - MS_omega0, bordered at blocks m - i_0, m - c_0 of omega0."""
+    m, n = re.m, re.n
+    XP = -_assign_product(omega0, trivial_assignment(omega0, re.P), m, n)
+    YP = _assign_product(tau, trivial_assignment(tau, re.P), m, n)
+    return _bordered(XP, YP, re, m - tp.inversions(omega0, 0),
+                     m - tp.consecutions(omega0, 0), prov)
+
+
 def fiedler_pencil(sigma, re):
     """FP: lam * MS_{-m} - MS_sigma for a permutation sigma of {0:m-1}."""
     sigma = tuple(sigma)
     m = re.m
     if sorted(sigma) != list(range(m)):
         raise RecipeError(f"sigma is not a permutation of {{0:{m - 1}}}: {sigma}")
-    u = m - tp.inversions(sigma, 0)
-    v = m - tp.consecutions(sigma, 0)
-    XP = -_assign_product(sigma, trivial_assignment(sigma, re.P), m, re.n)
-    return _bordered(XP, elementary_matrix(-m, re.P.coeff(m), m, re.n), re, u, v,
-                     {"family": "fp", "sigma": sigma})
+    return _fiedler_product_pencil(sigma, (-m,), re, {"family": "fp", "sigma": sigma})
 
 
 def gf_pencil(omega0, omega1, re):
@@ -206,13 +235,8 @@ def gf_pencil(omega0, omega1, re):
         raise RecipeError("m must belong to omega1 (no Fiedler factor M_m exists)")
     if 0 not in omega0:
         raise RecipeError("0 must belong to omega0 (proper GFP)")
-    u = m - tp.inversions(omega0, 0)
-    v = m - tp.consecutions(omega0, 0)
-    prov = {"family": "gfp", "omega0": omega0, "omega1": omega1}
-    tau = tp.neg(omega1)
-    XP = -_assign_product(omega0, trivial_assignment(omega0, re.P), m, re.n)
-    YP = _assign_product(tau, trivial_assignment(tau, re.P), m, re.n)
-    return _bordered(XP, YP, re, u, v, prov)
+    return _fiedler_product_pencil(omega0, tp.neg(omega1), re, {
+        "family": "gfp", "omega0": omega0, "omega1": omega1})
 
 
 def gfpr_poly(recipe, P):
@@ -223,15 +247,15 @@ def gfpr_poly(recipe, P):
     if m != recipe.m:
         raise RecipeError(f"recipe degree {recipe.m} != polynomial degree {m}")
 
-    def product(t, mats=None):
-        return _assign_product(t, _resolve_assignment(t, mats, P), m, n)
+    def product(core):
+        parts = ((recipe.tau1, recipe.Y1), (recipe.sigma1, recipe.X1), (core, None),
+                 (recipe.sigma2, recipe.X2), (recipe.tau2, recipe.Y2))
+        t = sum((p for p, _ in parts), ())
+        mats = sum((_resolve_assignment(p, a, P) for p, a in parts), ())
+        return _assign_product(t, mats, m, n)
 
-    left = product(recipe.tau1, recipe.Y1) @ product(recipe.sigma1, recipe.X1)
-    right = product(recipe.sigma2, recipe.X2) @ product(recipe.tau2, recipe.Y2)
-    X = left @ (-product(recipe.sigma)) @ right
-    Y = left @ product(recipe.tau) @ right
-    prov = {"family": "gfpr-poly", "recipe": recipe}
-    return BlockPencil(X, Y, m, n, 0, provenance=prov)
+    return BlockPencil(-product(recipe.sigma), product(recipe.tau), m, n, 0,
+                       provenance={"family": "gfpr-poly", "recipe": recipe})
 
 
 def gfpr(recipe, re):

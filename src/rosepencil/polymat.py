@@ -15,7 +15,7 @@ import numpy as np
 
 __all__ = [
     "PolyMatrix", "MatrixPolynomial",
-    "elementary_matrix", "block_transpose_dense",
+    "block_transpose_dense",
     "structure_check", "StructureReport", "STRUCTURE_TAGS",
     "quasi_identity_matrix",
 ]
@@ -141,42 +141,6 @@ class MatrixPolynomial(PolyMatrix):
 
 
 # ---------------------------------------------------------------------------
-# elementary matrices
-
-def _blk(M, i, j, n):
-    """1-based n x n block view of a dense matrix."""
-    return M[(i - 1) * n: i * n, (j - 1) * n: j * n]
-
-
-def elementary_matrix(i, X, m, n):
-    """M_i(X), an mn x mn matrix, for i in {-m : m-1}."""
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (n, n):
-        raise ValueError(f"X must be {n}x{n}")
-    if not -m <= i <= m - 1:
-        raise ValueError(f"index {i} out of range {{-{m}:{m - 1}}}")
-    M = np.eye(m * n, dtype=complex)
-    I = np.eye(n, dtype=complex)
-    if i == 0:
-        _blk(M, m, m, n)[:] = X
-    elif i > 0:
-        k = m - i  # 1-based top row of the 2x2 window
-        _blk(M, k, k, n)[:] = X
-        _blk(M, k, k + 1, n)[:] = I
-        _blk(M, k + 1, k, n)[:] = I
-        _blk(M, k + 1, k + 1, n)[:] = 0
-    elif i == -m:
-        _blk(M, 1, 1, n)[:] = X
-    else:
-        k = m + i  # window rows k, k+1 for i = -(m-k)
-        _blk(M, k, k, n)[:] = 0
-        _blk(M, k, k + 1, n)[:] = I
-        _blk(M, k + 1, k, n)[:] = I
-        _blk(M, k + 1, k + 1, n)[:] = X
-    return M
-
-
-# ---------------------------------------------------------------------------
 # block transpose
 
 def block_transpose_dense(M, m, n):
@@ -185,9 +149,7 @@ def block_transpose_dense(M, m, n):
     if M.shape != (m * n, m * n):
         raise ValueError("size mismatch for block transpose")
     out = np.empty_like(M)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            _blk(out, j, i, n)[:] = _blk(M, i, j, n)
+    out.reshape(m, n, m, n)[:] = M.reshape(m, n, m, n).transpose(2, 1, 0, 3)
     return out
 
 

@@ -11,7 +11,7 @@ polynomial part.  The sign at the border block is normalized to +1 so
 the borders keep the realization's C and B unchanged.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -275,13 +275,9 @@ def _sign_normalized(re, recipe, target):
             f"c_0 = {alpha}")
     s = qi.signs[re.m - alpha - 1]
     signs = tuple(s * e for e in qi.signs)
-    Q = quasi_identity_matrix(signs, re.n, re.r)
-    out = L.scaled_rows(Q)
-    prov = dict(out.provenance)
-    prov["quasi_identity"] = signs
-    prov["target"] = target
-    return BlockPencil(out.X, out.Y, out.m, out.n, out.r,
-                       out.col_block, out.row_block, prov)
+    out = L.scaled_rows(quasi_identity_matrix(signs, re.n, re.r))
+    return replace(out, provenance=dict(out.provenance, quasi_identity=signs,
+                                        target=target))
 
 
 def _linearize(kind, re, h, z, t_w=(), t_z=()):

@@ -168,15 +168,24 @@ def multiset_distance(a, b):
 def backward_errors(M, eigenvalues):
     """Normwise backward error of each z as an eigenvalue of the matrix
     polynomial M = sum_j M_j lam^j (Tisseur 2000):
-    eta(z) = sigma_min(M(z)) / sum_j ||M_j||_2 |z|^j."""
+    eta(z) = sigma_min(M(z)) / sum_j ||M_j||_2 |z|^j.  One stacked Horner
+    pass and SVD take each distinct z, or for real M each conjugate pair
+    (M(conj z) = conj M(z) has the same singular values), once."""
     pm = _as_polymat(M)
-    norms = [np.linalg.norm(pm.coeff(j), 2) for j in range(pm.degree + 1)]
-    out = []
-    for z in eigenvalues:
-        s = np.linalg.svd(pm(z), compute_uv=False)
-        scale = sum(c * abs(z) ** j for j, c in enumerate(norms))
-        out.append(float(s[-1]) / max(scale, 1e-300))
-    return out
+    coeffs = pm.coeffs[: pm.degree + 1]
+    z = np.asarray(eigenvalues, dtype=complex).reshape(-1)
+    w = np.where(z.imag < 0, z.conj(), z) if not coeffs.imag.any() else z
+    w, back = np.unique(w, return_inverse=True)
+    smin = np.empty(len(w))
+    step = max(1, (1 << 20) // max(1, pm.shape[0] * pm.shape[1]))
+    for s in range(0, len(w), step):  # stacks of at most 16 MB
+        v = w[s:s + step, None, None]
+        stack = np.zeros((len(v),) + pm.shape, dtype=complex)
+        for c in coeffs[::-1]:
+            stack = v * stack + c
+        smin[s:s + step] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    scale = sum(np.linalg.norm(c, 2) * np.abs(z) ** j for j, c in enumerate(coeffs))
+    return (smin[back.reshape(-1)] / np.maximum(scale, 1e-300)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 The witness identities of the paper's appendix, U (e_1 (x) I) =
 Lambda_alpha, (e_1^T (x) I) V = Omega_alpha and the block-elimination
 corollary, are facts about P alone; the tests check them here.  The
-product of system-matrix Fiedler factors is the reference the bordered
-builders of ``rosepencil.pencils`` are compared against.  The probe
+dense products of elementary matrices M_i(X) and of system-matrix
+Fiedler factors are the references the block-window products and the
+bordered builders of ``rosepencil.pencils`` are compared against, and
+the per-eigenvalue loop is the reference for the stacked backward
+errors of ``rosepencil.verify``.  The probe
 Cauchy-Maslov index counts eigenvalue jumps of G at p +/- delta; it is
 the reference for the residue signatures of ``cauchy_maslov_index`` at
 sizes where its offset and threshold resolve every pole (residues near
@@ -17,9 +20,27 @@ import numpy as np
 
 from rosepencil import tuples as tp
 from rosepencil.pencils import BlockPencil, _assign_product, _resolve_assignment
-from rosepencil.polymat import PolyMatrix, _blk, elementary_matrix
+from rosepencil.polymat import PolyMatrix
 from rosepencil.realize import StructuralViolation
-from rosepencil.verify import pencil_eigenvalues
+from rosepencil.verify import _as_polymat, pencil_eigenvalues
+
+
+# ---------------------------------------------------------------------------
+# block views
+
+def _blk(M, i, j, n):
+    """1-based n x n block view of a dense matrix."""
+    return M[(i - 1) * n: i * n, (j - 1) * n: j * n]
+
+
+def block_transpose_loop(M, m, n):
+    """Reference for ``block_transpose_dense``: block (i, j) copied to
+    (j, i), one block at a time."""
+    out = np.empty_like(M)
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            _blk(out, j, i, n)[:] = _blk(M, i, j, n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +255,46 @@ def argument_principle_count(X, Y, center=0.0, radius=10.0, samples=4096):
 
 
 # ---------------------------------------------------------------------------
-# Fiedler factors of P and S, and product equality
+# Fiedler factors of P and S, dense products, and product equality
+
+def elementary_matrix(i, X, m, n):
+    """M_i(X), an mn x mn matrix, for i in {-m : m-1}."""
+    X = np.asarray(X, dtype=complex)
+    if X.shape != (n, n):
+        raise ValueError(f"X must be {n}x{n}")
+    if not -m <= i <= m - 1:
+        raise ValueError(f"index {i} out of range {{-{m}:{m - 1}}}")
+    M = np.eye(m * n, dtype=complex)
+    I = np.eye(n, dtype=complex)
+    if i == 0:
+        _blk(M, m, m, n)[:] = X
+    elif i > 0:
+        k = m - i  # 1-based top row of the 2x2 window
+        _blk(M, k, k, n)[:] = X
+        _blk(M, k, k + 1, n)[:] = I
+        _blk(M, k + 1, k, n)[:] = I
+        _blk(M, k + 1, k + 1, n)[:] = 0
+    elif i == -m:
+        _blk(M, 1, 1, n)[:] = X
+    else:
+        k = m + i  # window rows k, k+1 for i = -(m-k)
+        _blk(M, k, k, n)[:] = 0
+        _blk(M, k, k + 1, n)[:] = I
+        _blk(M, k + 1, k, n)[:] = I
+        _blk(M, k + 1, k + 1, n)[:] = X
+    return M
+
+
+
+
+def dense_assign_product(t, mats, m, n):
+    """Reference for ``_assign_product``: the dense product of the
+    elementary matrices M_i(X_i), left to right."""
+    out = np.eye(m * n, dtype=complex)
+    for i, X in zip(t, mats):
+        out = out @ elementary_matrix(i, X, m, n)
+    return out
+
 
 def fiedler_matrix_P(i, P):
     """M_i^P = M_i(-A_i) for i >= 0 and M_i(A_{-i}) for i < 0."""
@@ -293,6 +353,22 @@ def product_equal(t1, t2, context, a1=None, a2=None, tol=0.0):
     if tol == 0.0:
         return bool(np.array_equal(M1, M2))
     return bool(np.max(np.abs(M1 - M2)) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# backward errors, one eigenvalue at a time
+
+def backward_errors_loop(M, eigenvalues):
+    """Reference for ``backward_errors``: eta(z) = sigma_min(M(z)) /
+    sum_j ||M_j||_2 |z|^j by one SVD per eigenvalue."""
+    pm = _as_polymat(M)
+    norms = [np.linalg.norm(pm.coeff(j), 2) for j in range(pm.degree + 1)]
+    out = []
+    for z in eigenvalues:
+        s = np.linalg.svd(pm(z), compute_uv=False)
+        scale = sum(c * abs(z) ** j for j, c in enumerate(norms))
+        out.append(float(s[-1]) / max(scale, 1e-300))
+    return out
 
 
 # ---------------------------------------------------------------------------

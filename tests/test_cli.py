@@ -369,6 +369,59 @@ def test_bad_option_or_recipe_value_is_schema_error(capsys, tmp_path, kind,
     assert code == 2 and out == ""
 
 
+_PENCIL_1X1 = {"X": [[1, 1], [1, 1]], "Y": [[1, 0], [0, -1]], "m": 1, "n": 1,
+               "r": 1, "col_block": 1, "row_block": 1}
+
+
+@pytest.mark.parametrize("command, problem_options, pencil", [
+    ("verify", {"tol": "x"}, _PENCIL_1X1),
+    ("verify", {"tol": [1e-8]}, _PENCIL_1X1),
+    ("verify", {"tol": True}, _PENCIL_1X1),
+    ("eig", None, dict(_PENCIL_1X1, quasi_identity=3)),
+    ("eig", None, dict(_PENCIL_1X1, quasi_identity=[1.5])),
+    ("eig", None, dict(_PENCIL_1X1, m="1")),
+    ("eig", None, dict(_PENCIL_1X1, n=1.0)),
+    ("eig", None, dict(_PENCIL_1X1, r=True)),
+    ("eig", None, dict(_PENCIL_1X1, col_block="1")),
+    ("eig", None, dict(_PENCIL_1X1, row_block=1.5)),
+], ids=["tol-str", "tol-list", "tol-bool", "qi-int", "qi-float", "m-str",
+        "n-float", "r-bool", "col-block-str", "row-block-float"])
+def test_bad_pencil_or_tol_value_is_schema_error(capsys, tmp_path, command,
+                                                 problem_options, pencil):
+    argv = [command, "--pencil", _dump(tmp_path, "pencil.json", pencil)]
+    if command == "verify":
+        argv += ["--problem", _dump(tmp_path, "prob.json", {
+            "realization": _GEN_1X1, "options": problem_options})]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert capsys.readouterr().err.startswith("schema error: ")
+
+
+def test_missing_or_null_border_blocks_are_accepted(capsys, tmp_path):
+    bare = {k: v for k, v in _PENCIL_1X1.items() if not k.endswith("_block")}
+    for pencil in (bare, dict(bare, col_block=None, row_block=None)):
+        code, out = run(capsys, "eig", "--pencil",
+                        _dump(tmp_path, "pencil.json", pencil))
+        # det(X + lam Y) = -lam^2
+        assert code == 0
+        assert json.loads(out)["eigenvalues"] == [{"value": 0.0,
+                                                   "multiplicity": 2}]
+
+
+def test_wrong_shape_assignment_is_recipe_error(capsys, tmp_path):
+    # a valid decorated recipe whose X1 is 2 x 2 while n = 1
+    problem = _dump(tmp_path, "prob.json", {
+        "realization": {"kind": "general", "P": [[[1]], [[2]], [[1]]],
+                        "C": [[1]], "A": [[1]], "B": [[1]]},
+        "recipe": {"m": 2, "sigma": [1, 0], "tau": [-2], "sigma1": [0],
+                   "X1": [[[1, 0], [0, 1]]]}})
+    with pytest.raises(SystemExit) as e:
+        main(["build", "--kind", "gfpr", "--problem", problem])
+    assert e.value.code == 3
+    assert capsys.readouterr().err.startswith("recipe error: assignment of shape")
+
+
 def test_odd_h_exit_code(capsys, sym_problem):
     code, _ = run(capsys, "structured", "--kind", "symmetric",
                   "--h", "1", "--spec", sym_problem)

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from rosepencil import tuples as tp
-from rosepencil.pencils import (GfprRecipe, RecipeError, fiedler_pencil,
-                                gf_pencil, gfpr, gfpr_poly,
+from rosepencil.pencils import (GfprRecipe, RecipeError, _assign_product,
+                                fiedler_pencil, gf_pencil, gfpr, gfpr_poly,
                                 trivial_assignment)
 from rosepencil.polymat import MatrixPolynomial
 from rosepencil.realize import Realization, system_matrix
-from rosepencil.verify import det_proportionality
-from conftest import ints, make_realization, product_gfpr
-from lemma_oracles import _fiedler_product_S as product_S
+from rosepencil.verify import det_proportionality, infinity_structure
+from conftest import ints, make_realization, poly, product_gfpr
+from lemma_oracles import _fiedler_product_S as product_S, \
+    dense_assign_product
 
 
 def test_fiedler_pencil_borders(rng):
@@ -193,3 +194,79 @@ def test_gfp_vs_gfpr_consistency(rng):
     L2 = gfpr(GfprRecipe(m=4, sigma=omega0, tau=(-3, -4)), re)
     assert np.array_equal(L1.X, L2.X)
     assert np.array_equal(L1.Y, L2.Y)
+
+
+@pytest.mark.parametrize("data", ["trivial", "integer", "gaussian"])
+def test_window_product_matches_dense_product(rng, data):
+    """_assign_product equals the dense product of elementary matrices for
+    every index class (0, -m, positive, negative): exactly on integer
+    data, to 1e-13 relative on Gaussian assignments."""
+    for m in range(1, 7):
+        n = 3 if m <= 3 else 2
+        P = poly(rng, n, m)
+        tuples = [(i,) for i in range(-m, m)]
+        tuples += [tuple(range(-m, m)), tuple(range(m - 1, -m - 1, -1))]
+        tuples += [tuple(int(i) for i in rng.integers(-m, m, size=3 * m))
+                   for _ in range(4)]
+        for t in tuples:
+            if data == "trivial":
+                mats = trivial_assignment(t, P)
+            elif data == "integer":
+                mats = tuple(ints(rng, n, n) for _ in t)
+            else:
+                mats = tuple(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                             for _ in t)
+            got = _assign_product(t, mats, m, n)
+            want = dense_assign_product(t, mats, m, n)
+            if data == "gaussian" and len(t) > 1:
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) <= 1e-13 * scale, (m, t)
+            else:
+                assert np.array_equal(got, want), (m, t)
+
+
+def test_window_product_checks_index_and_shape():
+    with pytest.raises(ValueError, match="out of range"):
+        _assign_product((3,), (np.eye(2),), 3, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        _assign_product((-4,), (np.eye(2),), 3, 2)
+    with pytest.raises(ValueError, match="must be 2x2"):
+        _assign_product((1,), (np.eye(3),), 3, 2)
+
+
+def test_wrong_shape_assignment_is_recipe_error(rng):
+    re = make_realization("general", rng, n=1, r=1, m=2)
+    recipe = GfprRecipe(m=2, sigma=(1, 0), tau=(-2,), sigma1=(0,),
+                        X1=(np.eye(2),))
+    with pytest.raises(RecipeError, match="not 1x1"):
+        gfpr(recipe, re)
+    with pytest.raises(RecipeError, match="not 1x1"):
+        recipe.assignments_nonsingular(re.P)
+
+
+def test_fp_and_decorated_gfpr_at_n208():
+    """N = 208 (m = 20, n = 10, r = 8), integer data so that any
+    summation order is exact: the FP and a decorated GFPR equal the dense
+    system-matrix product oracles, and pass the determinant and
+    infinity checks."""
+    rng = np.random.default_rng(208)
+    m, h = 20, 10
+    re = make_realization("general", rng, n=10, r=8, m=m, ns_top=True)
+    S = system_matrix(re)
+    sigma = tuple(int(i) for i in rng.permutation(m))
+    L = fiedler_pencil(sigma, re)
+    assert np.array_equal(L.X, -product_S(sigma, re))
+    assert np.array_equal(L.Y, product_S((-m,), re))
+    sigma2 = tuple(range(h - 1, 0, -1))
+    tau2 = tuple(range(-m, -h - 1))
+    recipe = GfprRecipe(m=m, sigma=tuple(range(1, h + 1)) + (0,),
+                        tau=tuple(range(-m, -h)), sigma2=sigma2, tau2=tau2,
+                        X2=tuple(ints(rng, 10, 10) for _ in sigma2),
+                        Y2=tuple(ints(rng, 10, 10) for _ in tau2))
+    G = gfpr(recipe, re)
+    X, Y = product_gfpr(recipe, re)
+    assert np.array_equal(G.X, X) and np.array_equal(G.Y, Y)
+    for pencil in (L, G):
+        assert pencil.size == 208
+        assert det_proportionality(pencil, S).deviation <= 1e-8
+        assert infinity_structure(pencil, S).consistent

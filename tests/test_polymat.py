@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rosepencil.polymat import (MatrixPolynomial, PolyMatrix,
-                                block_transpose_dense, elementary_matrix,
-                                quasi_identity_matrix, structure_check)
+                                block_transpose_dense, quasi_identity_matrix,
+                                structure_check)
 from conftest import ints, make_realization, poly, square
-from lemma_oracles import fiedler_matrix_P, fiedler_matrix_S, horner_shift, \
-    lambda_alpha, omega_alpha
+from lemma_oracles import block_transpose_loop, elementary_matrix, \
+    fiedler_matrix_P, fiedler_matrix_S, horner_shift, lambda_alpha, omega_alpha
 
 
 def test_polymat_eval_and_ops(rng):
@@ -97,6 +97,11 @@ def test_block_transpose(rng):
     assert np.array_equal(block_transpose_dense(BT, 3, 2), M)
     assert np.array_equal(BT[0:2, 2:4], M[2:4, 0:2])
     assert np.array_equal(BT[0:2, 0:2], M[0:2, 0:2])
+    for m, n in ((1, 1), (1, 3), (4, 1), (3, 2), (5, 3)):
+        M = rng.normal(size=(m * n, m * n)) + 1j * rng.normal(size=(m * n, m * n))
+        BT = block_transpose_dense(M, m, n)
+        assert np.array_equal(BT, block_transpose_loop(M, m, n))
+        assert not np.shares_memory(BT, M)
 
 
 def test_structure_check_tags(rng):

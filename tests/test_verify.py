@@ -15,7 +15,8 @@ from conftest import all_permutations, det_poly, \
     gaussian_skew_symmetric_realization, ints, make_realization, poly, \
     zero_corner_realization
 from lemma_oracles import appendix_witnesses, argument_principle_count, \
-    elimination_witness, lambda_alpha, omega_alpha, product_equal
+    backward_errors_loop, elimination_witness, lambda_alpha, omega_alpha, \
+    product_equal
 
 
 def test_det_poly_known():
@@ -311,6 +312,28 @@ def test_backward_errors_skew_symmetric_large_eigenvalue():
     assert max(backward_errors(S, eigs)) <= 1e-12
     # a point off the spectrum has a backward error of order one
     assert backward_errors(S, [0.5 + 0.5j])[0] > 1e-3
+
+
+def test_stacked_backward_errors_match_loop(rng):
+    """One stacked SVD per distinct value (per conjugate pair for real
+    S) gives the per-eigenvalue loop's backward errors, in input order."""
+    re = make_realization("general", rng, m=3)
+    S = system_matrix(re)
+    eigs = eig_multiset(pencil_eigenvalues(fiedler_pencil((0, 1, 2), re)))
+    assert any(z.imag != 0 for z in eigs)  # real QZ gives exact conjugate pairs
+    off = [0.5 + 0.5j, 0.5 - 0.5j, -2.0, 0j]
+    n = 3
+    Sc = PolyMatrix([rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                     for _ in range(3)])
+    cases = [(S, eigs), (S, eigs[::-1] + eigs[:3] + off + off), (S, []),
+             (Sc, off + [z.conjugate() for z in off] + off), (Sc, [])]
+    for M, zs in cases:
+        got, want = backward_errors(M, zs), backward_errors_loop(M, zs)
+        assert isinstance(got, list) and len(got) == len(want) == len(zs)
+        assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-12
+    # for complex S the conjugate of a point is another point
+    etas = backward_errors(Sc, [1 + 1j, 1 - 1j])
+    assert abs(etas[0] - etas[1]) > 1e-6
 
 
 def test_appendix_witnesses_all_m3(rng):
