@@ -203,7 +203,7 @@ def _pencil_out(L):
 
 def _parse_pencil(obj):
     _check_keys(obj, {"X", "Y", "m", "n", "r", "col_block", "row_block",
-                      "quasi_identity", "target", "recipe"}, "pencil")
+                      "quasi_identity", "target", "recipe", "structure_report"}, "pencil")
     for key in ("X", "Y", "m", "n", "r"):
         if key not in obj:
             raise SchemaError(f"pencil is missing {key!r}")
@@ -214,11 +214,15 @@ def _parse_pencil(obj):
         prov["target"] = obj["target"]
     if "recipe" in obj:
         prov["recipe"] = _parse_recipe(obj["recipe"])
-    sizes = [_int_in(obj[key], f"pencil {key}") for key in ("m", "n", "r")]
+    m, n, r = (_int_in(obj[key], f"pencil {key}") for key in ("m", "n", "r"))
     blocks = [None if obj.get(key) is None else _int_in(obj[key], f"pencil {key}")
               for key in ("col_block", "row_block")]
-    return BlockPencil(_mat_in(obj["X"], "X"), _mat_in(obj["Y"], "Y"),
-                       *sizes, *blocks, provenance=prov)
+    X, Y = _mat_in(obj["X"], "X"), _mat_in(obj["Y"], "Y")
+    if (min(m, n) < 1 or r < 0 or X.shape != (m * n + r,) * 2 or Y.shape != X.shape
+            or any(b is not None and not 1 <= b <= m for b in blocks)):
+        raise SchemaError(f"pencil m, n, r = {m}, {n}, {r} or blocks {blocks} do not fit "
+                          f"X {X.shape} and Y {Y.shape}: N = m n + r, m, n >= 1, r >= 0")
+    return BlockPencil(X, Y, m, n, r, *blocks, provenance=prov)
 
 
 def _parse_problem(path):
@@ -363,6 +367,8 @@ def cmd_verify(args):
 def cmd_recover(args):
     L = _parse_pencil(_load_json(args.pencil, "pencil file"))
     recipe = _parse_recipe(_load_json(args.recipe, "recipe file"))
+    if recipe.m != L.m:
+        raise SchemaError(f"recipe degree {recipe.m} != pencil m = {L.m}")
     basis = _load_json(args.basis, "basis file")
     _check_keys(basis, {"data", "kind", "side", "degrees"}, "basis")
     data = _mat_in(basis["data"], "basis data")

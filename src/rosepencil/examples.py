@@ -13,7 +13,7 @@ import numpy as np
 
 from . import tuples as tp
 from .pencils import GfprRecipe, gfpr
-from .polymat import MatrixPolynomial, quasi_identity_matrix
+from .polymat import MatrixPolynomial, quasi_identity_diagonal
 from .realize import Realization, make_structured_realization
 from .structured import (_even_odd_recipe, block_symmetric_gfpr,
                          symmetric_linearization, t_even_linearization,
@@ -316,12 +316,11 @@ def _structured_display(re, h, z, signs, terms, build):
     raw = gfpr(recipe, re)
     border = m - recipe.right_index()
     s = signs[border - 1]
-    Q = quasi_identity_matrix(signs, n, r)
-    Draw = raw.scaled_rows(Q)
+    q = quasi_identity_diagonal(signs, n, r)[:, None]
     Xd, Yd = _dense([n] * m + [r], terms)
     mn = m * n
     # polynomial part and B row/corner: display == Q L exactly
-    for got, want in ((Draw.X, Xd), (Draw.Y, Yd)):
+    for got, want in ((q * raw.X, Xd), (q * raw.Y, Yd)):
         assert np.array_equal(got[:, :mn], want[:, :mn]), \
             "polynomial part does not reproduce the display"
         assert np.array_equal(got[mn:, mn:], want[mn:, mn:]), \

@@ -7,10 +7,11 @@ builders set X = -(product without the lam factor) and Y = (lam factor).
 Every builder forms the mn x mn polynomial pencil of P from Fiedler
 factors of P and borders it operation-free: C in the column of block
 u = m - i_0, B in the row of block v = m - c_0, and A - lam*E in the
-r x r corner.  Dense products of elementary and system-matrix Fiedler
-factors, which yield the same pencil, serve as test oracles only.
+r x r corner.  Products over SIP tuples are operation-free, so their blocks
+are scattered by a cached block map; factor products are test oracles.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,22 +58,18 @@ class BlockPencil:
     def as_poly(self):
         return PolyMatrix([self.X, self.Y])
 
-    def scaled_rows(self, Q):
-        """Q @ (X + lam Y) for a constant Q, keeping metadata."""
-        return BlockPencil(Q @ self.X, Q @ self.Y, self.m, self.n, self.r,
-                           self.col_block, self.row_block, dict(self.provenance))
-
 
 def trivial_assignment(t, P):
-    """The matrices making M_i(X_i) = M_i^P: X = -A_i for i >= 0,
-    X = A_{-i} for i < 0."""
-    return tuple((-P.coeff(i) if i >= 0 else P.coeff(-i)) for i in t)
+    """The matrices making M_i(X_i) = M_i^P, stacked: X = -A_i for
+    i >= 0, X = A_{-i} for i < 0."""
+    t = np.array(t, dtype=int).reshape(-1)
+    return P.coeffs[np.abs(t)] * np.where(t >= 0, -1.0, 1.0)[:, None, None]
 
 
 def _resolve_assignment(t, mats, P):
     t = tuple(t)
     if mats is None:
-        return trivial_assignment(t, P)
+        return tuple(trivial_assignment(t, P))
     mats = tuple(np.asarray(M, dtype=complex) for M in mats)
     if len(mats) != len(t):
         raise RecipeError(f"assignment length {len(mats)} != tuple length {len(t)}")
@@ -82,33 +79,33 @@ def _resolve_assignment(t, mats, P):
     return mats
 
 
-def _assign_product(t, mats, m, n):
-    """Product of M_i(X_i) over the tuple, left to right, at O(mn n^2) per
-    factor: M_i(X) is the identity outside block window w, which holds X
-    (i = 0: last block; i = -m: first) or [[X, I], [I, 0]] (i > 0) or
-    [[0, I], [I, X]] (i < 0) at blocks m -/+ i and the next, so
-    out @ M_i(X) changes only out[:, w]."""
-    out = np.eye(m * n, dtype=complex)
-    pos = np.zeros((2 * n, 2 * n), dtype=complex)
-    pos[:n, n:] = pos[n:, :n] = np.eye(n)
-    neg = pos.copy()  # the windows, X written in per factor
-    for i, X in zip(t, mats):
-        X = np.asarray(X, dtype=complex)
-        if X.shape != (n, n):
-            raise ValueError(f"X must be {n}x{n}")
+@functools.lru_cache(maxsize=1024)
+def _block_map(t, m):
+    """Block labels of the product of M_i(X_i) over the SIP tuple t, left
+    to right: 0 for a zero block, 1 for I, 2 + k for X_k.  M_i(X) is the
+    identity outside block window w, which holds X (i = 0: last block;
+    i = -m: first) or [[X, I], [I, 0]] (i > 0) or [[0, I], [I, X]]
+    (i < 0) at blocks m -/+ i and the next: each factor changes columns w
+    (kept as {row: label} of their nonzero blocks)."""
+    def fma(a, x, b):  # the labels of block column a times X_x plus column b
+        if any(v != 1 for v in a.values()) or a.keys() & b.keys():
+            raise ValueError("the tuple violates the SIP: a block needs an operation")
+        return {**dict.fromkeys(a, x), **b}
+
+    cols = [{c: 1} for c in range(m)]
+    for x, i in enumerate(t, start=2):
         if not -m <= i <= m - 1:
             raise ValueError(f"index {i} out of range {{-{m}:{m - 1}}}")
+        c = 0 if i == -m else m - abs(i) - 1
         if i in (0, -m):
-            k, W = (m if i == 0 else 1), X
+            cols[c] = fma(cols[c], x, {})
         elif i > 0:
-            k, W = m - i, pos
-            W[:n, :n] = X
+            cols[c], cols[c + 1] = fma(cols[c], x, cols[c + 1]), cols[c]
         else:
-            k, W = m + i, neg
-            W[n:, n:] = X
-        w = slice((k - 1) * n, (k - 1) * n + W.shape[0])
-        out[:, w] = out[:, w] @ W
-    return out
+            cols[c], cols[c + 1] = cols[c + 1], fma(cols[c + 1], x, cols[c])
+    lab = np.array([[col.get(r, 0) for col in cols] for r in range(m)], dtype=int)
+    lab.flags.writeable = False
+    return lab
 
 
 @dataclass(frozen=True)
@@ -162,6 +159,12 @@ class GfprRecipe:
     def h(self):
         return max(self.sigma)
 
+    def sides(self):
+        """The products -X and Y as (tuple, assignment) parts, core sigma or tau."""
+        return [[(self.tau1, self.Y1), (self.sigma1, self.X1), (core, None),
+                 (self.sigma2, self.X2), (self.tau2, self.Y2)]
+                for core in (self.sigma, self.tau)]
+
     def right_index(self):
         """c_0(sigma, sigma2): the B row of the bordered form sits at
         block m - right_index()."""
@@ -190,29 +193,44 @@ class GfprRecipe:
         return True
 
 
-def _bordered(XP, YP, re, u, v, prov):
-    """The pencil of G from the polynomial pencil (XP, YP): C column at
-    block u, B row at block v, corner A - lam E."""
-    m, n, r = re.m, re.n, re.r
-    N = m * n + r
-    X = np.zeros((N, N), dtype=complex)
-    Y = np.zeros((N, N), dtype=complex)
-    X[: m * n, : m * n] = XP
-    Y[: m * n, : m * n] = YP
-    X[(u - 1) * n: u * n, m * n:] = re.C
-    X[m * n:, (v - 1) * n: v * n] = re.B
-    X[m * n:, m * n:] = re.A
-    Y[m * n:, m * n:] = -re.E
-    return BlockPencil(X, Y, m, n, r, col_block=u, row_block=v, provenance=prov)
+def _products(sides, P, N):
+    """(X, Y) of size N holding -(the product of M_i(X_i) over sides[0])
+    and the product over sides[1] in the leading mn x mn part; a side is a
+    list of (tuple, assignment or None: trivial) parts.  Each nonzero block
+    is I or one X_k by the block map, zero signs as in a dense product."""
+    m, n = P.m, P.n
+    X, Y = np.zeros((N, N), dtype=complex), np.zeros((N, N), dtype=complex)
+    for out, parts, sign in zip((X, Y), sides, (-1, 1)):
+        t = sum((p for p, _ in parts), ())
+        lab = _block_map(t, m)
+        stack = np.concatenate([np.zeros((1, n, n)), np.eye(n)[None]] + [
+            trivial_assignment(p, P) if a is None
+            else np.reshape(_resolve_assignment(p, a, P), (-1, n, n)) for p, a in parts]) + 0.0
+        poly = out[: m * n, : m * n]
+        if sign < 0:
+            stack = -stack
+            poly[:] = complex(-0.0, -0.0)
+        i, k = np.nonzero(lab)
+        poly.reshape(m, n, m, n).transpose(0, 2, 1, 3)[i, k] = stack[lab[i, k]]
+    return X, Y
+
+
+def _bordered(X, Y, re, u, v, prov):
+    """The pencil of G from (X, Y) holding the polynomial pencil: C
+    column at block u, B row at block v, corner A - lam E."""
+    n, mn = re.n, re.m * re.n
+    X[(u - 1) * n: u * n, mn:] = re.C
+    X[mn:, (v - 1) * n: v * n] = re.B
+    X[mn:, mn:] = re.A
+    Y[mn:, mn:] = -re.E
+    return BlockPencil(X, Y, re.m, n, re.r, col_block=u, row_block=v, provenance=prov)
 
 
 def _fiedler_product_pencil(omega0, tau, re, prov):
     """lam * MS_tau - MS_omega0, bordered at blocks m - i_0, m - c_0 of omega0."""
-    m, n = re.m, re.n
-    XP = -_assign_product(omega0, trivial_assignment(omega0, re.P), m, n)
-    YP = _assign_product(tau, trivial_assignment(tau, re.P), m, n)
-    return _bordered(XP, YP, re, m - tp.inversions(omega0, 0),
-                     m - tp.consecutions(omega0, 0), prov)
+    X, Y = _products([[(omega0, None)], [(tau, None)]], re.P, re.m * re.n + re.r)
+    return _bordered(X, Y, re, re.m - tp.inversions(omega0, 0),
+                     re.m - tp.consecutions(omega0, 0), prov)
 
 
 def fiedler_pencil(sigma, re):
@@ -246,15 +264,8 @@ def gfpr_poly(recipe, P):
     m, n = P.m, P.n
     if m != recipe.m:
         raise RecipeError(f"recipe degree {recipe.m} != polynomial degree {m}")
-
-    def product(core):
-        parts = ((recipe.tau1, recipe.Y1), (recipe.sigma1, recipe.X1), (core, None),
-                 (recipe.sigma2, recipe.X2), (recipe.tau2, recipe.Y2))
-        t = sum((p for p, _ in parts), ())
-        mats = sum((_resolve_assignment(p, a, P) for p, a in parts), ())
-        return _assign_product(t, mats, m, n)
-
-    return BlockPencil(-product(recipe.sigma), product(recipe.tau), m, n, 0,
+    X, Y = _products(recipe.sides(), P, m * n)
+    return BlockPencil(X, Y, m, n, 0,
                        provenance={"family": "gfpr-poly", "recipe": recipe})
 
 
@@ -264,6 +275,6 @@ def gfpr(recipe, re):
     m - c_0(sigma, sigma2)."""
     if re.m != recipe.m:
         raise RecipeError(f"recipe degree {recipe.m} != realization degree {re.m}")
-    Lp = gfpr_poly(recipe, re.P)
-    return _bordered(Lp.X, Lp.Y, re, re.m - recipe.left_index(),
+    X, Y = _products(recipe.sides(), re.P, re.m * re.n + re.r)
+    return _bordered(X, Y, re, re.m - recipe.left_index(),
                      re.m - recipe.right_index(), {"family": "gfpr", "recipe": recipe})

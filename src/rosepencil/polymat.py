@@ -17,6 +17,7 @@ __all__ = [
     "PolyMatrix", "MatrixPolynomial",
     "block_transpose_dense",
     "structure_check", "StructureReport", "STRUCTURE_TAGS",
+    "quasi_identity_diagonal",
     "quasi_identity_matrix",
 ]
 
@@ -229,10 +230,11 @@ def structure_check(M, tag, tol=None, exact=False):
     return StructureReport(True, tag)
 
 
+def quasi_identity_diagonal(signs, n, r=0):
+    """The diagonal (eps_1 1_n, ..., eps_m 1_n [, 1_r]) as a float array."""
+    return np.repeat(np.append(np.asarray(signs, dtype=float), 1.0), [n] * len(signs) + [r])
+
+
 def quasi_identity_matrix(signs, n, r=0):
     """diag(eps_1 I_n, ..., eps_m I_n [, I_r])."""
-    diag = []
-    for s in signs:
-        diag += [s] * n
-    diag += [1] * r
-    return np.diag(np.array(diag, dtype=complex))
+    return np.diag(quasi_identity_diagonal(signs, n, r).astype(complex))

@@ -7,19 +7,20 @@ five share one pattern: pick the simple admissible tuple w of {0:h}
 c_w and c_z, optionally type-1 decorations t_w / t_z, build the GFPR
 through the generic recipe machinery, and left-multiply by the unique
 sign-normalized quasi-identity that forces the target structure on the
-polynomial part.  The sign at the border block is normalized to +1 so
-the borders keep the realization's C and B unchanged.
+polynomial part, read off the recipe's block maps.  The sign at the
+border block is +1 so the borders keep the realization's C and B.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tuples as tp
-from .pencils import (BlockPencil, GfprRecipe, RecipeError, gfpr,
+from .pencils import (BlockPencil, GfprRecipe, RecipeError, _block_map, gfpr,
                       trivial_assignment)
 from .polymat import (_STRUCTURE_RULES, _structure_tol, block_transpose_dense,
-                      normalize_tag, quasi_identity_matrix, structure_check)
+                      normalize_tag, quasi_identity_diagonal, structure_check)
 from .realize import STRUCTURED_KINDS, StructuralViolation
 from .verify import VerificationFailure, _eig_clusters
 
@@ -68,33 +69,55 @@ def find_quasi_identity(L, target, tol=None, exact=False):
             D = np.abs(At - (sign(j) * p) * A).reshape(m, n, m, n)
             dev = np.maximum(dev, D.max(axis=(1, 3)))
         ok[p] = dev <= tol
-    none = f"no quasi-identity makes this pencil {target}"
     if not (ok[1].diagonal().all() and (ok[1] | ok[-1]).all()):
-        raise StructuralViolation(none)
+        raise StructuralViolation(f"no quasi-identity makes this pencil {target}")
     # s_i s_k forced by pair (i, k): +1 or -1, or 0 when both parities pass
-    forced = (ok[1].astype(int) - ok[-1].astype(int)).tolist()
+    return QuasiIdentity(signs=_walk_parities(ok[1].astype(int) - ok[-1].astype(int), target))
+
+
+def _walk_parities(forced, target):
+    """Signs s, s_1 = +1, with s_i s_k = forced[i, k] where that is +/-1."""
+    forced = forced.tolist()
+    m = len(forced)
     signs = [0] * m
     components = 0
     for root in range(m):
         if signs[root]:
             continue
         components += 1
-        signs[root] = 1
-        stack = [root]
+        signs[root], stack = 1, [root]
         while stack:
             i = stack.pop()
             for k, p in enumerate(forced[i]):
-                if not p:
-                    continue
-                if not signs[k]:
+                if p and not signs[k]:
                     signs[k] = p * signs[i]
                     stack.append(k)
-                elif signs[k] != p * signs[i]:
-                    raise StructuralViolation(none)
+                elif p and signs[k] != p * signs[i]:
+                    raise StructuralViolation(f"no quasi-identity makes this pencil {target}")
     if components > 1:
         raise AmbiguousQuasiIdentity(
             f"{2 ** (components - 1)} quasi-identities make this pencil {target}")
-    return QuasiIdentity(signs=tuple(signs))
+    return tuple(signs)
+
+
+@functools.lru_cache(maxsize=512)
+def _map_signs(tuples, m, target):
+    """Q of every GFPR over tuples with the trivial assignments of a target-
+    structured P.  By the block maps, blocks (i, k), (k, i) of coefficient j
+    hold 0, 0 or e Z, e' Z with Z = I or A_p (A_p^T = sign(p) A_p, sign 1 for
+    I): that pair forces s_i s_k = sign(j) e e' sign(p); other pairs fail."""
+    _, sign = _STRUCTURE_RULES[target]
+    parity = np.array([1] + [sign(p) for p in range(m + 1)])   # I, A_0 .. A_m
+    forced = np.zeros((m, m), dtype=int)
+    for j, t in enumerate(tuples):   # X = -(product over tuples[0]), Y
+        ti, lab = np.array(t, dtype=int), _block_map(t, m)
+        p = np.concatenate([[-2, -1], np.abs(ti)])[lab]   # -2: 0, -1: I, else A_p
+        e = (2 * j - 1) * np.concatenate([[0, 1], np.where(ti >= 0, -1, 1)])[lab]
+        f = sign(j) * e * e.T * parity[np.maximum(p, -1) + 1]
+        if (p != p.T).any() or (f * forced < 0).any() or (f.diagonal() < 0).any():
+            raise StructuralViolation(f"no quasi-identity makes this pencil {target}")
+        forced = forced + f * (forced == 0)
+    return _walk_parities(forced, target)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +153,8 @@ def symmetric_recipe(P, h, t_wh=(), t_vh=(), X=None, Y=None):
             f"for {m - h - 1}")
     X = None if X is None else tuple(np.asarray(M, dtype=complex) for M in X)
     Y = None if Y is None else tuple(np.asarray(M, dtype=complex) for M in Y)
-    X2 = None if X is None else trivial_assignment(c_w, P) + tp.rev(X)
-    Y2 = None if Y is None else trivial_assignment(c_v, P) + tp.rev(Y)
+    X2 = None if X is None else tuple(trivial_assignment(c_w, P)) + tp.rev(X)
+    Y2 = None if Y is None else tuple(trivial_assignment(c_v, P)) + tp.rev(Y)
     return GfprRecipe(m=m, sigma=w.entries, tau=v,
                       sigma1=t_wh, sigma2=c_w + tp.rev(t_wh),
                       tau1=t_vh, tau2=c_v + tp.rev(t_vh),
@@ -261,23 +284,21 @@ def _even_odd_recipe(re, h, z, t_w=(), t_z=()):
 
 
 def _sign_normalized(re, recipe, target):
-    """Build the GFPR, find the unique Q making the polynomial part
-    target-structured, normalize so the border-block sign is +1, and
-    return the scaled pencil."""
-    L = gfpr(recipe, re)
-    mn = re.m * re.n
-    qi = find_quasi_identity(
-        BlockPencil(L.X[:mn, :mn], L.Y[:mn, :mn], re.m, re.n, 0), target)
+    """The GFPR times its recipe's quasi-identity Q (_map_signs), a row-sign
+    broadcast with +1 at the border block so that the borders keep C and B."""
     alpha = recipe.right_index()
     if recipe.left_index() != alpha:
         raise AssertionError(
             f"border blocks disagree: i_0 = {recipe.left_index()}, "
             f"c_0 = {alpha}")
-    s = qi.signs[re.m - alpha - 1]
-    signs = tuple(s * e for e in qi.signs)
-    out = L.scaled_rows(quasi_identity_matrix(signs, re.n, re.r))
-    return replace(out, provenance=dict(out.provenance, quasi_identity=signs,
-                                        target=target))
+    qs = _map_signs(tuple(sum((t for t, _ in side), ()) for side in recipe.sides()),
+                    re.m, target)
+    signs = tuple(qs[re.m - alpha - 1] * e for e in qs)
+    L = gfpr(recipe, re)
+    d = quasi_identity_diagonal(signs, re.n, re.r)[:, None]
+    L.X[:], L.Y[:] = L.X * d + 0.0, L.Y * d + 0.0   # Q L, zeros +0 as in Q @ L
+    return replace(L, provenance=dict(L.provenance, quasi_identity=signs,
+                                      target=target))
 
 
 def _linearize(kind, re, h, z, t_w=(), t_z=()):

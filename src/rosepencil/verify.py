@@ -200,7 +200,7 @@ def nullspace_at(M, tol=1e-10):
         return np.zeros((0, 0), dtype=complex)
     if not M.any():
         return np.eye(cols, dtype=complex)
-    _, R, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    R, piv = scipy.linalg.qr(M, mode="r", pivoting=True)
     d = np.abs(np.diag(R))
     rank = int(np.sum(d > tol * d[0]))
     if rank == cols:

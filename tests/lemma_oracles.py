@@ -3,9 +3,10 @@
 The witness identities of the paper's appendix, U (e_1 (x) I) =
 Lambda_alpha, (e_1^T (x) I) V = Omega_alpha and the block-elimination
 corollary, are facts about P alone; the tests check them here.  The
-dense products of elementary matrices M_i(X) and of system-matrix
-Fiedler factors are the references the block-window products and the
-bordered builders of ``rosepencil.pencils`` are compared against, and
+block-window product of Fiedler factors, and behind it the dense
+products of elementary matrices M_i(X) and of system-matrix Fiedler
+factors, are the references the block-map scatter and the bordered
+builders of ``rosepencil.pencils`` are compared against, and
 the per-eigenvalue loop is the reference for the stacked backward
 errors of ``rosepencil.verify``.  The probe
 Cauchy-Maslov index counts eigenvalue jumps of G at p +/- delta; it is
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rosepencil import tuples as tp
-from rosepencil.pencils import BlockPencil, _assign_product, _resolve_assignment
+from rosepencil.pencils import BlockPencil, _resolve_assignment
 from rosepencil.polymat import PolyMatrix
 from rosepencil.realize import StructuralViolation
 from rosepencil.verify import _as_polymat, pencil_eigenvalues
@@ -287,8 +288,46 @@ def elementary_matrix(i, X, m, n):
 
 
 
+def window_assign_product(t, mats, m, n):
+    """Product of M_i(X_i) over the tuple, left to right, at O(mn n^2) per
+    factor: M_i(X) is the identity outside block window w, which holds X
+    (i = 0: last block; i = -m: first) or [[X, I], [I, 0]] (i > 0) or
+    [[0, I], [I, X]] (i < 0) at blocks m -/+ i and the next, so
+    out @ M_i(X) changes only out[:, w].  Any tuple, SIP or not; the
+    reference for the block-map scatter of ``rosepencil.pencils``."""
+    out = np.eye(m * n, dtype=complex)
+    pos = np.zeros((2 * n, 2 * n), dtype=complex)
+    pos[:n, n:] = pos[n:, :n] = np.eye(n)
+    neg = pos.copy()  # the windows, X written in per factor
+    for i, X in zip(t, mats):
+        X = np.asarray(X, dtype=complex)
+        if X.shape != (n, n):
+            raise ValueError(f"X must be {n}x{n}")
+        if not -m <= i <= m - 1:
+            raise ValueError(f"index {i} out of range {{-{m}:{m - 1}}}")
+        if i in (0, -m):
+            k, W = (m if i == 0 else 1), X
+        elif i > 0:
+            k, W = m - i, pos
+            W[:n, :n] = X
+        else:
+            k, W = m + i, neg
+            W[n:, n:] = X
+        w = slice((k - 1) * n, (k - 1) * n + W.shape[0])
+        out[:, w] = out[:, w] @ W
+    return out
+
+
+def window_sides(recipe, P):
+    """(tuple, assignments) of the two products of a GFPR recipe, its
+    decorations included, for window_assign_product."""
+    return [(sum((t for t, _ in side), ()),
+             sum((_resolve_assignment(t, a, P) for t, a in side), ()))
+            for side in recipe.sides()]
+
+
 def dense_assign_product(t, mats, m, n):
-    """Reference for ``_assign_product``: the dense product of the
+    """Reference for ``window_assign_product``: the dense product of the
     elementary matrices M_i(X_i), left to right."""
     out = np.eye(m * n, dtype=complex)
     for i, X in zip(t, mats):
@@ -348,8 +387,10 @@ def product_equal(t1, t2, context, a1=None, a2=None, tol=0.0):
     else:
         P = context
         m, n = P.m, P.n
-        M1 = _assign_product(tuple(t1), _resolve_assignment(tuple(t1), a1, P), m, n)
-        M2 = _assign_product(tuple(t2), _resolve_assignment(tuple(t2), a2, P), m, n)
+        M1 = window_assign_product(tuple(t1), _resolve_assignment(tuple(t1), a1, P),
+                                   m, n)
+        M2 = window_assign_product(tuple(t2), _resolve_assignment(tuple(t2), a2, P),
+                                   m, n)
     if tol == 0.0:
         return bool(np.array_equal(M1, M2))
     return bool(np.max(np.abs(M1 - M2)) <= tol)

@@ -10,6 +10,8 @@ from rosepencil.pencils import fiedler_pencil
 from rosepencil.polymat import MatrixPolynomial
 from rosepencil.realize import STRUCTURED_KINDS, StructuralViolation, \
     make_structured_realization
+from rosepencil.recover import eigenvector_bundle
+from rosepencil.verify import pencil_eigenvalues
 from conftest import gaussian_skew_symmetric_realization, make_realization
 
 
@@ -159,13 +161,17 @@ def test_flags_scoped_to_their_subcommands(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_structured_subcommand(capsys, sym_problem):
-    code, out = run(capsys, "structured", "--kind", "symmetric",
-                    "--h", "0", "--spec", sym_problem)
+def test_structured_subcommand(capsys, tmp_path, sym_problem):
+    pencil = str(tmp_path / "pencil.json")
+    code, _ = run(capsys, "structured", "--kind", "symmetric",
+                  "--h", "0", "--spec", sym_problem, "--out", pencil)
     assert code == 0
-    rep = json.loads(out)["structure_report"]
+    rep = json.loads((tmp_path / "pencil.json").read_text())["structure_report"]
     assert rep["ok"] and rep["tag"] == "symmetric"
     assert rep["deviation"] == 0.0
+    # its output is a pencil file: verify reads it back
+    code, out = run(capsys, "verify", "--problem", sym_problem, "--pencil", pencil)
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def _raw_json(kind, re):
@@ -477,6 +483,37 @@ def test_eig_and_recover(capsys, tmp_path, gen_problem):
     assert code == 0
     doc = json.loads(out)
     assert "system" in doc and "g" in doc
+
+
+@pytest.mark.parametrize("change", [{"n": 3}, {"r": 5}, {"m": 0}, {"n": -1},
+                                    {"m": 3}, {"m": 3, "r": 4},
+                                    {"col_block": 5}, {"row_block": 0}],
+                         ids=["n3", "r5", "m0", "n-1", "m3", "m3-r4",
+                              "col-block-5", "row-block-0"])
+def test_recover_refuses_inconsistent_sizes(capsys, tmp_path, gen_problem,
+                                            change):
+    """Sizes that disagree with X (N = mn + r), sizes out of range, border
+    blocks outside 1..m, and a pencil m other than the recipe's m = 4 are
+    schema errors."""
+    pencil = str(tmp_path / "pencil.json")
+    run(capsys, "build", "--kind", "gfpr", "--problem", gen_problem,
+        "--out", pencil)
+    doc = json.loads((tmp_path / "pencil.json").read_text())
+    L = _parse_pencil(doc)
+    lam = pencil_eigenvalues(L.X, L.Y)[0][0]
+    basis = _dump(tmp_path, "basis.json", {"data": [
+        [repr(complex(v)).strip("()") for v in row]
+        for row in eigenvector_bundle(L, lam, tol=1e-6).eval(0)]})
+    recipe = _dump(tmp_path, "recipe.json", json.loads(
+        (tmp_path / "gen.json").read_text())["recipe"])
+    code, _ = run(capsys, "recover", "--pencil", pencil, "--basis", basis,
+                  "--recipe", recipe)
+    assert code == 0
+    bad = _dump(tmp_path, "bad.json", dict(doc, **change))
+    with pytest.raises(SystemExit) as e:
+        main(["recover", "--pencil", bad, "--basis", basis, "--recipe", recipe])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.startswith("schema error: ")
 
 
 def test_eig_large_fiedler_pencil(capsys, tmp_path, rng):

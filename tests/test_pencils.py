@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rosepencil import tuples as tp
-from rosepencil.pencils import (GfprRecipe, RecipeError, _assign_product,
+from rosepencil.pencils import (GfprRecipe, RecipeError, _block_map,
                                 fiedler_pencil, gf_pencil, gfpr, gfpr_poly,
                                 trivial_assignment)
 from rosepencil.polymat import MatrixPolynomial
@@ -12,7 +12,7 @@ from rosepencil.realize import Realization, system_matrix
 from rosepencil.verify import det_proportionality, infinity_structure
 from conftest import ints, make_realization, poly, product_gfpr
 from lemma_oracles import _fiedler_product_S as product_S, \
-    dense_assign_product
+    dense_assign_product, window_assign_product, window_sides
 
 
 def test_fiedler_pencil_borders(rng):
@@ -198,7 +198,7 @@ def test_gfp_vs_gfpr_consistency(rng):
 
 @pytest.mark.parametrize("data", ["trivial", "integer", "gaussian"])
 def test_window_product_matches_dense_product(rng, data):
-    """_assign_product equals the dense product of elementary matrices for
+    """window_assign_product equals the dense product of elementary matrices for
     every index class (0, -m, positive, negative): exactly on integer
     data, to 1e-13 relative on Gaussian assignments."""
     for m in range(1, 7):
@@ -216,7 +216,7 @@ def test_window_product_matches_dense_product(rng, data):
             else:
                 mats = tuple(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
                              for _ in t)
-            got = _assign_product(t, mats, m, n)
+            got = window_assign_product(t, mats, m, n)
             want = dense_assign_product(t, mats, m, n)
             if data == "gaussian" and len(t) > 1:
                 scale = max(1.0, float(np.max(np.abs(want))))
@@ -227,11 +227,80 @@ def test_window_product_matches_dense_product(rng, data):
 
 def test_window_product_checks_index_and_shape():
     with pytest.raises(ValueError, match="out of range"):
-        _assign_product((3,), (np.eye(2),), 3, 2)
+        window_assign_product((3,), (np.eye(2),), 3, 2)
     with pytest.raises(ValueError, match="out of range"):
-        _assign_product((-4,), (np.eye(2),), 3, 2)
+        window_assign_product((-4,), (np.eye(2),), 3, 2)
     with pytest.raises(ValueError, match="must be 2x2"):
-        _assign_product((1,), (np.eye(3),), 3, 2)
+        window_assign_product((1,), (np.eye(3),), 3, 2)
+
+
+def _assert_scatter_matches_window(L, sides):
+    """The polynomial part of L is -(window product over sides[0]) and
+    the window product over sides[1], to the bit in value."""
+    m, n = L.m, L.n
+    k = m * n
+    (ts, ms), (tt, mt) = sides
+    assert np.array_equal(L.X[:k, :k], -window_assign_product(ts, ms, m, n))
+    assert np.array_equal(L.Y[:k, :k], window_assign_product(tt, mt, m, n))
+
+
+def test_block_map_scatter_matches_window_product_census():
+    """Integer data: every FP for m <= 5, every GFP partition for m <= 5
+    (two orders each) and seeded decorated GFPRs with integer assignments
+    build the window product's pencil exactly."""
+    rng = np.random.default_rng(27)
+    for m in range(1, 6):
+        re = make_realization("general", rng, m=m)
+        P = re.P
+        for sigma in itertools.permutations(range(m)):
+            _assert_scatter_matches_window(fiedler_pencil(sigma, re), [
+                (t, trivial_assignment(t, P)) for t in (sigma, (-m,))])
+        for size in range(m):
+            for rest in itertools.combinations(range(1, m), size):
+                for _ in range(2):
+                    omega0 = tuple(int(i) for i in rng.permutation((0,) + rest))
+                    omega1 = tuple(int(i) for i in rng.permutation(
+                        [i for i in range(1, m + 1) if i not in rest]))
+                    tau = tp.neg(omega1)
+                    _assert_scatter_matches_window(gf_pencil(omega0, omega1, re), [
+                        (t, trivial_assignment(t, P)) for t in (omega0, tau)])
+    built = 0
+    while built < 60:
+        m = int(rng.integers(2, 8))
+        h = int(rng.integers(0, m))
+        re = make_realization("general", rng, m=m)
+
+        def draw(lo, hi):
+            size = int(rng.integers(0, 4)) if hi >= lo else 0
+            return tuple(int(i) for i in rng.integers(lo, hi + 1, size=size))
+
+        kw = dict(m=m, sigma=tuple(int(i) for i in rng.permutation(h + 1)),
+                  tau=tuple(int(i) - m for i in rng.permutation(m - h)),
+                  sigma1=draw(0, h - 1), sigma2=draw(0, h - 1),
+                  tau1=draw(-m, -h - 2), tau2=draw(-m, -h - 2))
+        for key, t in (("X1", "sigma1"), ("X2", "sigma2"), ("Y1", "tau1"),
+                       ("Y2", "tau2")):
+            kw[key] = tuple(ints(rng, 2, 2) for _ in kw[t]) if rng.random() < 0.7 else None
+        try:
+            recipe = GfprRecipe(**kw)
+        except RecipeError:  # a decoration broke the SIP
+            continue
+        built += 1
+        L = gfpr(recipe, re)
+        _assert_scatter_matches_window(L, window_sides(recipe, re.P))
+        assert np.array_equal(gfpr_poly(recipe, re.P).X, L.X[:2 * m, :2 * m])
+
+
+def test_block_map_refuses_a_non_sip_tuple():
+    with pytest.raises(ValueError, match="violates the SIP"):
+        _block_map((1, 1), 2)
+    with pytest.raises(ValueError, match="violates the SIP"):
+        _block_map((0, 0), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        _block_map((3,), 3)
+    lab = _block_map((1, 0), 2)   # M_1(X_0) M_0(X_1) = [[X_0, X_1], [I, 0]]
+    assert lab.tolist() == [[2, 3], [1, 0]]
+    assert not lab.flags.writeable
 
 
 def test_wrong_shape_assignment_is_recipe_error(rng):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rosepencil.polymat import (MatrixPolynomial, PolyMatrix,
-                                block_transpose_dense, quasi_identity_matrix,
-                                structure_check)
+                                block_transpose_dense, quasi_identity_diagonal,
+                                quasi_identity_matrix, structure_check)
 from conftest import ints, make_realization, poly, square
 from lemma_oracles import block_transpose_loop, elementary_matrix, \
     fiedler_matrix_P, fiedler_matrix_S, horner_shift, lambda_alpha, omega_alpha
@@ -131,6 +131,7 @@ def test_quasi_identity():
     Q = quasi_identity_matrix((1, -1), 2, 3)
     assert np.array_equal(np.diag(Q), [1, 1, -1, -1, 1, 1, 1])
     assert np.array_equal(Q @ Q, np.eye(7))
+    assert np.array_equal(quasi_identity_diagonal((1, -1), 2, 3), np.diag(Q))
 
 
 def test_lambda_omega_shapes():

@@ -1,9 +1,12 @@
+import functools
 import itertools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from rosepencil import tuples as tp
 from rosepencil.pencils import RecipeError, gfpr_poly
 from rosepencil.polymat import (STRUCTURE_TAGS, MatrixPolynomial,
                                 quasi_identity_matrix, structure_check)
@@ -11,7 +14,8 @@ from rosepencil.realize import (STRUCTURED_KINDS, Realization,
                                 StructuralViolation,
                                 make_structured_realization, system_matrix)
 from rosepencil.structured import (AmbiguousQuasiIdentity, QuasiIdentity,
-                                   _even_odd_recipe, block_symmetric_gfpr,
+                                   _check_target, _even_odd_recipe,
+                                   _map_signs, block_symmetric_gfpr,
                                    cauchy_maslov_index, find_quasi_identity,
                                    hamiltonian_linearization,
                                    skew_hamiltonian_linearization,
@@ -20,8 +24,9 @@ from rosepencil.structured import (AmbiguousQuasiIdentity, QuasiIdentity,
                                    t_even_linearization, t_odd_linearization,
                                    t_pencil_tuples)
 from rosepencil.verify import VerificationFailure, det_proportionality
-from conftest import ints, make_realization, square
-from lemma_oracles import probe_cauchy_maslov_index
+from conftest import _PARITY, ints, make_realization, square
+from lemma_oracles import probe_cauchy_maslov_index, window_assign_product, \
+    window_sides
 
 _BUILDERS = {
     "t-even": t_even_linearization,
@@ -223,6 +228,119 @@ def test_border_sign_normalization(rng):
         signs = L.provenance["quasi_identity"]
         border = L.col_block
         assert signs[border - 1] == 1
+
+
+def _type1(alpha, hi, k=2):
+    """The right index tuples of type 1 relative to alpha with at most k
+    entries, all from {0:hi}."""
+    return [t for size in range(k + 1)
+            for t in itertools.product(range(hi + 1), repeat=size)
+            if tp.is_type1_right(t, alpha)]
+
+
+@functools.cache
+def _structured_census():
+    """(kind, P, recipe) with integer n = 2 data for every kind, m <= 9,
+    even h and admissible z, and every type-1 t_w / t_z of at most two
+    entries for the skew kinds; the symmetric kind adds the T-pencil
+    decorations at h = 0."""
+    rng = np.random.default_rng(2027)
+    out = []
+    for kind in STRUCTURED_KINDS:
+        for m in range(1, 10):
+            P = MatrixPolynomial([square(rng, 2, _PARITY[kind](j), nonsingular=True)
+                                  for j in range(m + 1)])
+            for h in range(0, m, 2):
+                if kind == "symmetric":
+                    decs = [((), ())] + ([t_pencil_tuples(m)] if h == 0 and m > 2 else [])
+                    out += [(kind, P, symmetric_recipe(P, h, *d)) for d in decs]
+                    continue
+                hp = m - h - 1
+                for p in range(hp % 2, hp + 1, 2):
+                    z = tp.admissible_tuple(hp, p)
+                    decs = [((), ())]
+                    if kind.startswith("skew"):
+                        tzs = [tp.shift(t, -m) for t in _type1(tp.rev(z.entries), hp - 1)]
+                        decs = [(tw, tz) for tw in _type1(
+                            tp.rev(tp.simple_admissible(h).entries), h - 1) for tz in tzs]
+                    out += [(kind, P, _even_odd_recipe(SimpleNamespace(P=P), h, z, *d))
+                            for d in decs]
+    return out
+
+
+def test_structured_scatter_matches_window_product_census():
+    census = _structured_census()
+    assert len(census) > 800
+    for kind, P, recipe in census:
+        L = gfpr_poly(recipe, P)
+        (ts, ms), (tt, mt) = window_sides(recipe, P)
+        assert np.array_equal(L.X, -window_assign_product(ts, ms, P.m, P.n)), kind
+        assert np.array_equal(L.Y, window_assign_product(tt, mt, P.m, P.n)), kind
+
+
+def test_quasi_identity_from_map_matches_data_census():
+    """Q read off the block maps is the Q the data walk finds, on every
+    census recipe whose data Q is unique (all of them here)."""
+    unique = 0
+    for kind, P, recipe in _structured_census():
+        if kind == "symmetric":
+            continue
+        tag = STRUCTURED_KINDS[kind].tag
+        try:
+            want = find_quasi_identity(gfpr_poly(recipe, P), tag, exact=True).signs
+        except AmbiguousQuasiIdentity:
+            continue
+        tuples = tuple(t for t, _ in window_sides(recipe, P))
+        assert _map_signs(tuples, P.m, tag) == want, (kind, recipe)
+        unique += 1
+    assert unique > 800
+
+
+def test_quasi_identity_from_map_refusals():
+    # M_1 M_0 = [[X_0, X_1], [I, 0]]: block pair (1, 2) holds X_1 and I
+    with pytest.raises(StructuralViolation):
+        _map_signs(((1, 0), (-2,)), 2, "t-even")
+    # diag(I, -A_0): an identity on the diagonal is never skew
+    with pytest.raises(StructuralViolation):
+        _map_signs(((0,), (-2,)), 2, "skew-symmetric")
+    # block diagonal: no pair ties the two signs together
+    with pytest.raises(AmbiguousQuasiIdentity):
+        _map_signs(((0,), (-2,)), 2, "symmetric")
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILDERS))
+def test_one_flipped_sign_is_refused(kind, rng):
+    """_check_target still reads the structure off the data: one block
+    row of the polynomial part, or one entry, with the wrong sign fails."""
+    re = make_realization(kind, rng, m=5, ns_top=True)
+    L = _BUILDERS[kind](re, 2)
+    row = STRUCTURED_KINDS[kind]
+    _check_target(row, L)
+    n, blk = re.n, L.col_block % re.m   # a block row other than the border's
+    X = L.X.copy()
+    X[blk * n:(blk + 1) * n] *= -1
+    Y = L.Y.copy()
+    Y[blk * n:(blk + 1) * n] *= -1
+    with pytest.raises(AssertionError, match="failed the"):
+        _check_target(row, replace(L, X=X, Y=Y))
+    i, k = next((i, k) for i, k in np.argwhere(L.X != 0) if i != k)
+    X = L.X.copy()
+    X[i, k] *= -1
+    with pytest.raises(AssertionError, match="failed the"):
+        _check_target(row, replace(L, X=X))
+
+
+def test_t_even_build_at_n220():
+    """N = 220 (m = 21, n = r = 10), integer data: the T-even build is
+    exactly T-even and its determinant is proportional to the system
+    matrix's."""
+    rng = np.random.default_rng(220)
+    re = make_realization("t-even", rng, n=10, r=10, m=21, ns_top=True)
+    L = t_even_linearization(re, 4)
+    assert L.size == 220
+    _check_target(STRUCTURED_KINDS["t-even"], L)
+    assert _exact_structure("t-even", re, L)
+    assert det_proportionality(L, system_matrix(re)).deviation <= 1e-8
 
 
 @pytest.mark.parametrize("m", [12, 16])

@@ -179,6 +179,33 @@ def test_nullspace_at():
     assert nullspace_at(np.zeros((2, 2))).shape == (2, 2)
 
 
+def _nullspace_economic(M, tol=1e-10):
+    """Reference for nullspace_at: the same formula on the R of an
+    economic-mode pivoted QR, whose Q is formed and thrown away."""
+    M = np.asarray(M, dtype=complex)
+    cols = M.shape[1]
+    _, R, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+    d = np.abs(np.diag(R))
+    rank = int(np.sum(d > tol * d[0]))
+    W = np.zeros((cols, cols - rank), dtype=complex)
+    W[piv[:rank]] = -scipy.linalg.solve_triangular(R[:rank, :rank], R[:rank, rank:])
+    W[piv[rank:]] = np.eye(cols - rank)
+    return np.linalg.qr(W)[0]
+
+
+@pytest.mark.parametrize("deficiency", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(7, 7), (9, 6), (5, 8)])
+def test_nullspace_at_matches_economic_mode(rng, deficiency, shape):
+    rows, cols = shape
+    rank = min(rows, cols) - deficiency
+    M = ((rng.normal(size=(rows, rank)) + 1j * rng.normal(size=(rows, rank)))
+         @ rng.normal(size=(rank, cols)))
+    Z = nullspace_at(M)
+    assert Z.shape == (cols, cols - rank)
+    assert np.array_equal(Z, _nullspace_economic(M))
+    assert np.linalg.norm(M @ Z) <= 1e-10 * np.linalg.norm(M)
+
+
 def test_normal_rank(rng):
     W = PolyMatrix([np.array([[0.0, -1.0]]), np.array([[1.0, 0.0]])])
     assert normal_rank(W) == 1
