@@ -3,10 +3,10 @@ of rational matrices given in state-space realization form.
 
 Subpackages/modules:
 
-- ``tuples``      index-tuple combinatorics (SIP, csf, consecutions, RCISS, ...)
+- ``tuples``      index-tuple combinatorics (SIP, csf, consecutions, admissible tuples, ...)
 - ``polymat``     matrix polynomials, block transpose, structure predicates
 - ``realize``     realizations G(lam) = P(lam) + C (lam E - A)^{-1} B and system matrices
-- ``pencils``     FP / GFP / GFPR pencil builders (block-window products, bordered)
+- ``pencils``     FP / GFP / GFPR pencil builders (blocks scattered from a block map, bordered)
 - ``structured``  block-symmetric, symmetric, T-even/T-odd, (skew-)Hamiltonian,
                   skew-symmetric linearizations; quasi-identity signs; Cauchy-Maslov index
 - ``recover``     eigenvector / minimal-basis / minimal-index recovery maps

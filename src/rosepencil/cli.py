@@ -371,12 +371,18 @@ def cmd_recover(args):
         raise SchemaError(f"recipe degree {recipe.m} != pencil m = {L.m}")
     basis = _load_json(args.basis, "basis file")
     _check_keys(basis, {"data", "kind", "side", "degrees"}, "basis")
+    if "data" not in basis:
+        raise SchemaError("basis is missing 'data'")
     data = _mat_in(basis["data"], "basis data")
+    if data.shape[0] != L.X.shape[0]:
+        raise SchemaError(f"basis data has {data.shape[0]} rows, not N = {L.X.shape[0]}")
+    side = basis.get("side", args.side)
+    if side != args.side:
+        raise SchemaError(f"basis side {side!r} is not --side {args.side}")
+    degrees = basis.get("degrees")
+    degrees = None if degrees is None else _ints_in(degrees, "basis degrees")
     bundle = VectorBundle(data=data, kind=basis.get("kind", "eigenvector-basis"),
-                          side=basis.get("side", args.side),
-                          degrees=tuple(basis["degrees"]) if basis.get("degrees")
-                          else None,
-                          split=(L.m * L.n, L.r))
+                          side=side, degrees=degrees or None, split=(L.m * L.n, L.r))
     s_level = recover_from_gfpr(bundle, recipe, side=args.side)
     g_level = recover_s_to_g(s_level)
     _emit({"system": _mat_out(s_level.eval(0)),
@@ -398,21 +404,6 @@ def cmd_cm_index(args):
     idx = cauchy_maslov_index(re)
     _emit({"cauchy_maslov_index": idx}, args)
     return 0
-
-
-def cmd_examples(args):
-    from .examples import list_examples, run_all
-    if args.list:
-        for eid, desc in list_examples():
-            print(f"{eid:12s} {desc}")
-        return 0
-    results = run_all(seed=args.seed)
-    width = max(len(r.eid) for r in results)
-    ok = True
-    for r in results:
-        ok &= r.ok
-        print(f"{r.eid:{width}s}  {'PASS' if r.ok else 'FAIL'}  {r.detail}")
-    return 0 if ok else EXIT_CHECK
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +456,6 @@ def build_parser():
     sp.add_argument("--problem", required=True)
     _common(sp)
 
-    sp = sub.add_parser("examples", help="run the embedded example corpus")
-    sp.add_argument("--list", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
-    _common(sp)
     return ap
 
 

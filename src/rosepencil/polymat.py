@@ -196,6 +196,10 @@ def _coeff_list(M):
         return [M.coeff(k) for k in range(M.degree + 1)]
     if hasattr(M, "coeff_list"):  # BlockPencil and friends
         return M.coeff_list()
+    if isinstance(M, (list, tuple)):   # [X, Y]: one by one, no stacked copy
+        coeffs = [np.asarray(A, dtype=complex) for A in M]
+        if len({A.shape for A in coeffs}) == 1 and coeffs[0].ndim == 2:
+            return coeffs
     arr = np.asarray(M, dtype=complex)
     if arr.ndim == 2:
         return [arr]

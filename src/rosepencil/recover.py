@@ -37,14 +37,10 @@ class VectorBundle:
 
     @property
     def rows(self):
-        if isinstance(self.data, PolyMatrix):
-            return self.data.shape[0]
         return self.data.shape[0]
 
     @property
     def width(self):
-        if isinstance(self.data, PolyMatrix):
-            return self.data.shape[1]
         return self.data.shape[1]
 
     def eval(self, lam):

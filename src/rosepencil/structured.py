@@ -30,7 +30,6 @@ __all__ = [
     "t_even_linearization", "t_odd_linearization",
     "hamiltonian_linearization", "skew_hamiltonian_linearization",
     "skew_symmetric_linearization", "cauchy_maslov_index",
-    "t_pencil_tuples",
 ]
 
 
@@ -194,31 +193,30 @@ def _check_target(row, L):
 
 def symmetric_linearization(re, h, t_wh=(), t_vh=(), X=None, Y=None):
     """Symmetric Rosenbrock strong linearization of a symmetric G; needs
-    a symmetric realization, symmetric matrix assignments, and a
-    nonsingular A_m when m is even."""
+    a symmetric realization, symmetric matrix assignments, a nonsingular
+    A_m when m is even, and a nonsingular A_0 (A_m) when a 0 in t_wh
+    (-m in t_vh) takes the trivial assignment."""
     row = _expect("symmetric", re)
     for name, mats in (("X", X), ("Y", Y)):
         for M in mats or ():
             M = np.asarray(M)
             if not np.array_equal(M.T, M):
                 raise StructuralViolation(f"assignment in {name} is not symmetric")
-    if re.m % 2 == 0 and abs(np.linalg.det(re.P.coeff(re.m))) == 0:
+
+    def singular(j):
+        return abs(np.linalg.det(re.P.coeff(j))) == 0
+
+    if re.m % 2 == 0 and singular(re.m):
         raise StructuralViolation(
             "even m forces -m into c_v; A_m must be nonsingular")
+    # the trivial assignment puts A_0 at a 0 in t_wh and A_m at a -m in t_vh
+    if X is None and 0 in t_wh and singular(0):
+        raise StructuralViolation("0 in t_wh requires a nonsingular A_0")
+    if Y is None and -re.m in t_vh and singular(re.m):
+        raise StructuralViolation("-m in t_vh requires a nonsingular A_m")
     L = block_symmetric_gfpr(re, h, t_wh, t_vh, X, Y)
     _check_target(row, L)
     return L
-
-
-def t_pencil_tuples(m):
-    """(t_wh, t_vh) decorations giving the block-tridiagonal member of
-    the symmetric family (h = 0, t_vh = -m + (0:m-3, 0:m-5, ...))."""
-    t = []
-    k = m - 3
-    while k >= 0:
-        t += list(range(0, k + 1))
-        k -= 2
-    return (), tp.shift(tuple(t), -m)
 
 
 # ---------------------------------------------------------------------------

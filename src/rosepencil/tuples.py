@@ -5,8 +5,7 @@ ranges: non-negative tuples drawn from ``{0:h}`` and negative tuples
 drawn from ``{-h:-1}`` (tested after shifting by ``+h``).  All the
 bookkeeping that decides where borders land in a bordered pencil --
 successor infix property (SIP), column standard form (csf),
-consecutions/inversions, the reverse consecution-inversion structure
-sequence (RCISS), admissible tuples, symmetric complements,
+consecutions/inversions, admissible tuples, symmetric complements,
 canonical-form tuples and type-1 rewrites -- lives here.
 
 Everything is a pure function on immutable values.
@@ -19,7 +18,6 @@ __all__ = [
     "is_sip", "is_csf", "permutation_csf",
     "consecutions", "inversions",
     "total_consecutions", "total_inversions",
-    "Rciss", "rciss",
     "AdmissibleTuple", "admissible_tuple", "simple_admissible",
     "symmetric_complement", "is_canonical_form",
     "zr_rewrite", "is_type1_right",
@@ -167,72 +165,12 @@ def total_inversions(alpha):
 
 
 @dataclass(frozen=True)
-class Rciss:
-    """Reverse consecution-inversion structure sequence
-    (c_1, i_1, ..., c_l, i_l)."""
-    pairs: tuple
-
-    @property
-    def ell(self):
-        return len(self.pairs) // 2
-
-    def c(self, j):
-        """c_j, 1-based."""
-        return self.pairs[2 * (j - 1)]
-
-    def i(self, j):
-        """i_j, 1-based."""
-        return self.pairs[2 * (j - 1) + 1]
-
-    def m_partial(self, j):
-        """m_j = c_1 + ... + c_j (m_0 = 0)."""
-        return sum(self.c(k) for k in range(1, j + 1))
-
-    def n_partial(self, j):
-        """n_j = i_1 + ... + i_j (n_0 = 0)."""
-        return sum(self.i(k) for k in range(1, j + 1))
-
-    def s_partial(self, j):
-        return self.m_partial(j) + self.n_partial(j)
-
-
-def rciss(alpha):
-    """RCISS(alpha): scan adjacency relations from the top index m-2
-    downwards, alternating consecution and inversion runs (c_1 may be 0,
-    i_l may be 0)."""
-    ords = _adjacent_orders(alpha)
-    vals = ords[::-1]  # j = m-2 down to 0
-    pairs = []
-    i = 0
-    n = len(vals)
-    while True:
-        c = 0
-        while i < n and vals[i]:
-            c += 1
-            i += 1
-        iv = 0
-        while i < n and not vals[i]:
-            iv += 1
-            i += 1
-        pairs += [c, iv]
-        if i >= n:
-            break
-    return Rciss(pairs=tuple(pairs))
-
-
-@dataclass(frozen=True)
 class AdmissibleTuple:
     """Admissible tuple of {0:h} with index p:
     csf = (h-1:h, h-3:h-2, ..., p+1:p+2, 0:p)."""
     h: int
     p: int
     entries: tuple = field(default=())
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 def admissible_tuple(h, p):

@@ -150,21 +150,6 @@ def eig_multiset(pairs):
     return sorted(out, key=lambda z: (z.real, z.imag))
 
 
-def multiset_distance(a, b):
-    """Max pairing distance between two eigenvalue multisets (optimal
-    assignment); inf when the sizes differ."""
-    import scipy.optimize
-
-    a, b = list(a), list(b)
-    if len(a) != len(b):
-        return float("inf")
-    if not a:
-        return 0.0
-    D = np.abs(np.subtract.outer(np.array(a), np.array(b)))
-    rows, cols = scipy.optimize.linear_sum_assignment(D)
-    return float(D[rows, cols].max())
-
-
 def backward_errors(M, eigenvalues):
     """Normwise backward error of each z as an eigenvalue of the matrix
     polynomial M = sum_j M_j lam^j (Tisseur 2000):

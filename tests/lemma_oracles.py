@@ -8,7 +8,9 @@ products of elementary matrices M_i(X) and of system-matrix Fiedler
 factors, are the references the block-map scatter and the bordered
 builders of ``rosepencil.pencils`` are compared against, and
 the per-eigenvalue loop is the reference for the stacked backward
-errors of ``rosepencil.verify``.  The probe
+errors of ``rosepencil.verify``.  The RCISS of a permutation gives the
+powers in the witness columns, and the optimal-assignment distance
+compares eigenvalue multisets.  The probe
 Cauchy-Maslov index counts eigenvalue jumps of G at p +/- delta; it is
 the reference for the residue signatures of ``cauchy_maslov_index`` at
 sizes where its offset and threshold resolve every pole (residues near
@@ -45,6 +47,64 @@ def block_transpose_loop(M, m, n):
 
 
 # ---------------------------------------------------------------------------
+# the reverse consecution-inversion structure sequence
+
+@dataclass(frozen=True)
+class Rciss:
+    """Reverse consecution-inversion structure sequence
+    (c_1, i_1, ..., c_l, i_l)."""
+    pairs: tuple
+
+    @property
+    def ell(self):
+        return len(self.pairs) // 2
+
+    def c(self, j):
+        """c_j, 1-based."""
+        return self.pairs[2 * (j - 1)]
+
+    def i(self, j):
+        """i_j, 1-based."""
+        return self.pairs[2 * (j - 1) + 1]
+
+    def m_partial(self, j):
+        """m_j = c_1 + ... + c_j (m_0 = 0)."""
+        return sum(self.c(k) for k in range(1, j + 1))
+
+    def n_partial(self, j):
+        """n_j = i_1 + ... + i_j (n_0 = 0)."""
+        return sum(self.i(k) for k in range(1, j + 1))
+
+    def s_partial(self, j):
+        return self.m_partial(j) + self.n_partial(j)
+
+
+def rciss(alpha):
+    """RCISS(alpha): scan adjacency relations from the top index m-2
+    downwards, alternating consecution and inversion runs (c_1 may be 0,
+    i_l may be 0)."""
+    ords = tp._adjacent_orders(alpha)
+    vals = ords[::-1]  # j = m-2 down to 0
+    pairs = []
+    i = 0
+    n = len(vals)
+    while True:
+        c = 0
+        while i < n and vals[i]:
+            c += 1
+            i += 1
+        iv = 0
+        while i < n and not vals[i]:
+            iv += 1
+            i += 1
+        pairs += [c, iv]
+        if i >= n:
+            break
+    return Rciss(pairs=tuple(pairs))
+
+
+
+# ---------------------------------------------------------------------------
 # Horner shifts, Lambda / Omega witness columns and the Q / R unimodular
 # factors
 
@@ -57,7 +117,7 @@ def horner_shift(P, k):
 
 
 def _lambda_row_powers(alpha):
-    rc = tp.rciss(alpha)
+    rc = rciss(alpha)
     powers = []
     for j in range(1, rc.ell + 1):
         base = rc.m_partial(j - 1)
@@ -68,7 +128,7 @@ def _lambda_row_powers(alpha):
 
 
 def _omega_col_powers(alpha):
-    rc = tp.rciss(alpha)
+    rc = rciss(alpha)
     powers = []
     for j in range(1, rc.ell + 1):
         base = rc.n_partial(j - 1)
@@ -139,7 +199,7 @@ def r_matrix(i, P):
 def _unimodular_uv(alpha, P):
     """U and V products of the witness lemma from the RCISS of alpha."""
     m, n = P.m, P.n
-    rc = tp.rciss(alpha)
+    rc = rciss(alpha)
     eye = PolyMatrix.constant(np.eye(m * n))
 
     def qB(i):
@@ -398,6 +458,21 @@ def product_equal(t1, t2, context, a1=None, a2=None, tol=0.0):
 
 # ---------------------------------------------------------------------------
 # backward errors, one eigenvalue at a time
+
+def multiset_distance(a, b):
+    """Max pairing distance between two eigenvalue multisets (optimal
+    assignment); inf when the sizes differ."""
+    import scipy.optimize
+
+    a, b = list(a), list(b)
+    if len(a) != len(b):
+        return float("inf")
+    if not a:
+        return 0.0
+    D = np.abs(np.subtract.outer(np.array(a), np.array(b)))
+    rows, cols = scipy.optimize.linear_sum_assignment(D)
+    return float(D[rows, cols].max())
+
 
 def backward_errors_loop(M, eigenvalues):
     """Reference for ``backward_errors``: eta(z) = sigma_min(M(z)) /

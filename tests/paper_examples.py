@@ -1,63 +1,44 @@
-"""Embedded worked-example corpus.
+"""The paper's worked displays, reproduced exactly.
 
 Each entry instantiates the symbolic blocks of a published display with
 small integer matrices and checks the library's construction against the
 display entry-by-entry (exact equality -- the arithmetic is exact for
-integer data).  Combinatorial entries check frozen values.  The corpus
-doubles as the regression gate behind ``rosepencil examples``.
+integer data).  Combinatorial entries check frozen values.  An entry
+takes a numpy Generator, raises on any mismatch and returns a one-line
+detail; ``entry_rng`` gives the generator it draws from at a seed.
+``tests/test_examples.py`` and acceptance criteria 1 and 3 run it.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import tuples as tp
-from .pencils import GfprRecipe, gfpr
-from .polymat import MatrixPolynomial, quasi_identity_diagonal
-from .realize import Realization, make_structured_realization
-from .structured import (_even_odd_recipe, block_symmetric_gfpr,
-                         symmetric_linearization, t_even_linearization,
-                         t_odd_linearization, skew_symmetric_linearization,
-                         t_pencil_tuples)
-
-__all__ = ["ExampleResult", "list_examples", "run_example", "run_all"]
-
-_REGISTRY = {}
+from rosepencil import tuples as tp
+from rosepencil.pencils import GfprRecipe, gfpr
+from rosepencil.polymat import MatrixPolynomial, quasi_identity_diagonal
+from rosepencil.realize import Realization, make_structured_realization
+from rosepencil.structured import (_even_odd_recipe, block_symmetric_gfpr,
+                                   symmetric_linearization, t_even_linearization,
+                                   t_odd_linearization, skew_symmetric_linearization)
+from lemma_oracles import rciss
 
 
-@dataclass(frozen=True)
-class ExampleResult:
-    eid: str
-    ok: bool
-    detail: str
-
-
-def _example(eid, desc):
-    def deco(fn):
-        _REGISTRY[eid] = (desc, fn)
-        return fn
-    return deco
-
-
-def list_examples():
-    return [(eid, desc) for eid, (desc, _) in _REGISTRY.items()]
-
-
-def run_example(eid, seed=0):
-    desc, fn = _REGISTRY[eid]
-    try:
-        detail = fn(np.random.default_rng(seed * 1000 + _stable_salt(eid)))
-    except Exception as exc:  # noqa: BLE001 -- report, don't crash the table
-        return ExampleResult(eid, False, f"{type(exc).__name__}: {exc}")
-    return ExampleResult(eid, True, detail)
-
-
-def run_all(seed=0):
-    return [run_example(eid, seed) for eid in _REGISTRY]
+def entry_rng(eid, seed):
+    """The generator entry eid draws from at seed."""
+    return np.random.default_rng(seed * 1000 + _stable_salt(eid))
 
 
 def _stable_salt(eid):
     return sum(ord(c) * (i + 1) for i, c in enumerate(eid)) % 997
+
+
+def t_pencil_tuples(m):
+    """(t_wh, t_vh) decorations giving the block-tridiagonal member of
+    the symmetric family (h = 0, t_vh = -m + (0:m-3, 0:m-5, ...))."""
+    t = []
+    k = m - 3
+    while k >= 0:
+        t += list(range(0, k + 1))
+        k -= 2
+    return (), tp.shift(tuple(t), -m)
 
 
 # ---------------------------------------------------------------------------
@@ -134,24 +115,24 @@ def _signs_str(signs):
 # ---------------------------------------------------------------------------
 # combinatorial entries (frozen values)
 
-@_example("rciss_m11a", "RCISS of (8:10,7,6,5,2:4,1,0) equals (2,4,2,2)")
 def _rciss_a(rng):
+    """RCISS of (8:10,7,6,5,2:4,1,0) equals (2,4,2,2)."""
     alpha = (8, 9, 10, 7, 6, 5, 2, 3, 4, 1, 0)
-    got = tp.rciss(alpha).pairs
+    got = rciss(alpha).pairs
     assert got == (2, 4, 2, 2), got
     return f"RCISS = {got}"
 
 
-@_example("rciss_m11b", "RCISS of (10,9,5:8,3:4,2,0:1) equals (0,2,3,1,1,2,1,0)")
 def _rciss_b(rng):
+    """RCISS of (10,9,5:8,3:4,2,0:1) equals (0,2,3,1,1,2,1,0)."""
     alpha = (10, 9, 5, 6, 7, 8, 3, 4, 2, 0, 1)
-    got = tp.rciss(alpha).pairs
+    got = rciss(alpha).pairs
     assert got == (0, 2, 3, 1, 1, 2, 1, 0), got
     return f"RCISS = {got}"
 
 
-@_example("c0_alpha", "c_0 of (1,0,2,1,3,2,4,1,3,2,1) equals 3")
 def _c0(rng):
+    """c_0 of (1,0,2,1,3,2,4,1,3,2,1) equals 3."""
     alpha = (1, 0, 2, 1, 3, 2, 4, 1, 3, 2, 1)
     got = tp.consecutions(alpha, 0)
     assert got == 3, got
@@ -161,9 +142,9 @@ def _c0(rng):
 # ---------------------------------------------------------------------------
 # the general GFPR display (m = 4, decorated)
 
-@_example("gfpr_m4", "GFPR display: m=4, sigma=(1,2,3,0), tau=(-4), "
-                     "sigma2=(2,1) with assignment (X,Y)")
 def _gfpr_m4(rng):
+    """GFPR display: m=4, sigma=(1,2,3,0), tau=(-4), sigma2=(2,1) with
+    assignment (X,Y)."""
     n, r, m = 2, 2, 4
     A = [_ints(rng, n, n) for _ in range(m + 1)]
     P = MatrixPolynomial(A)
@@ -202,9 +183,8 @@ def _sym_realization(rng, n, r, m, ns_top=False):
     return make_structured_realization("symmetric", P, Ass, B, E=E)
 
 
-@_example("sym_m5_h2", "symmetric display: m=5, h=2, t_wh=(0), t_vh=(-5), "
-                       "penta-diagonal")
 def _sym_m5(rng):
+    """symmetric display: m=5, h=2, t_wh=(0), t_vh=(-5), penta-diagonal."""
     n, r = 2, 2
     re = _sym_realization(rng, n, r, 5)
     Xm = _nonsingular(rng, n, "sym")
@@ -226,9 +206,9 @@ def _sym_m5(rng):
     return "display reproduced exactly; borders at block 4"
 
 
-@_example("sym_m6_h0", "symmetric display: m=6, h=0, "
-                       "t_vh=(-6:-3,-6:-5), anti-triangular, A_6 nonsingular")
 def _sym_m6(rng):
+    """symmetric display: m=6, h=0, t_vh=(-6:-3,-6:-5), anti-triangular,
+    A_6 nonsingular."""
     n, r = 2, 2
     re = _sym_realization(rng, n, r, 6, ns_top=True)
     L = symmetric_linearization(re, 0, t_wh=(), t_vh=(-6, -5, -4, -3, -6, -5))
@@ -253,9 +233,8 @@ def _sym_m6(rng):
     return "display reproduced exactly"
 
 
-@_example("sym_m3_T", "the T-pencil as a member of the symmetric family "
-                      "(m=3, h=0, t_vh=(-3))")
 def _sym_t(rng):
+    """the T-pencil as a member of the symmetric family (m=3, h=0, t_vh=(-3))."""
     n, r = 2, 2
     re = _sym_realization(rng, n, r, 3, ns_top=True)
     t_wh, t_vh = t_pencil_tuples(3)
@@ -343,9 +322,8 @@ def _structured_display(re, h, z, signs, terms, build):
             + tail)
 
 
-@_example("teven_m5", "T-even display: m=5, h=2, penta-diagonal, "
-                      "Q=(+,+,-,+,-)")
 def _teven_m5(rng):
+    """T-even display: m=5, h=2, penta-diagonal, Q=(+,+,-,+,-)."""
     n, r = 2, 2
     re = _teven_realization(rng, n, r, 5)
     A = [re.P.coeff(j) for j in range(6)]
@@ -365,9 +343,9 @@ def _teven_m5(rng):
                                lambda re: t_even_linearization(re, 2))
 
 
-@_example("teven_m4", "T-even display: m=4, h=0, anti-triangular, "
-                      "Q=(+,-,+,-), A_4 nonsingular")
 def _teven_m4(rng):
+    """T-even display: m=4, h=0, anti-triangular, Q=(+,-,+,-),
+    A_4 nonsingular."""
     n, r = 2, 2
     re = _teven_realization(rng, n, r, 4, ns_top=True)
     A = [re.P.coeff(j) for j in range(5)]
@@ -386,9 +364,8 @@ def _teven_m4(rng):
                                    re, 0, (-4, -3, -2, -1)))
 
 
-@_example("todd_m5", "T-odd display: m=5, h=2, penta-diagonal, "
-                     "Q=(+,-,+,-,-)")
 def _todd_m5(rng):
+    """T-odd display: m=5, h=2, penta-diagonal, Q=(+,-,+,-,-)."""
     n, r = 2, 2
     re = _todd_realization(rng, n, r, 5)
     A = [re.P.coeff(j) for j in range(6)]
@@ -408,9 +385,8 @@ def _todd_m5(rng):
                                lambda re: t_odd_linearization(re, 2))
 
 
-@_example("todd_m4", "T-odd display: m=4, h=0, anti-triangular, "
-                     "Q=(+,-,+,-), A_4 nonsingular")
 def _todd_m4(rng):
+    """T-odd display: m=4, h=0, anti-triangular, Q=(+,-,+,-), A_4 nonsingular."""
     n, r = 2, 2
     re = _todd_realization(rng, n, r, 4, ns_top=True)
     A = [re.P.coeff(j) for j in range(5)]
@@ -429,9 +405,8 @@ def _todd_m4(rng):
                                    re, 0, (-4, -3, -2, -1)))
 
 
-@_example("skew_m5", "skew-symmetric display: m=5, h=2, penta-diagonal, "
-                     "Q=(+,-,-,-,+)")
 def _skew_m5(rng):
+    """skew-symmetric display: m=5, h=2, penta-diagonal, Q=(+,-,-,-,+)."""
     n, r = 2, 2
     re = _skew_realization(rng, n, r, 5)
     A = [re.P.coeff(j) for j in range(6)]
@@ -451,9 +426,8 @@ def _skew_m5(rng):
                                lambda re: skew_symmetric_linearization(re, 2))
 
 
-@_example("skew_m4", "skew-symmetric display: m=4, h=2, Q=(+,+,+,-), "
-                     "A_4 nonsingular")
 def _skew_m4(rng):
+    """skew-symmetric display: m=4, h=2, Q=(+,+,+,-), A_4 nonsingular."""
     n, r = 2, 2
     re = _skew_realization(rng, n, r, 4, ns_top=True)
     A = [re.P.coeff(j) for j in range(5)]
@@ -471,3 +445,21 @@ def _skew_m4(rng):
     return _structured_display(re, 2, (-4, -3), (1, 1, 1, -1), terms,
                                lambda re: skew_symmetric_linearization(
                                    re, 2, (-4, -3)))
+
+
+# the corpus, by id
+ENTRIES = {
+    "rciss_m11a": _rciss_a,
+    "rciss_m11b": _rciss_b,
+    "c0_alpha": _c0,
+    "gfpr_m4": _gfpr_m4,
+    "sym_m5_h2": _sym_m5,
+    "sym_m6_h0": _sym_m6,
+    "sym_m3_T": _sym_t,
+    "teven_m5": _teven_m5,
+    "teven_m4": _teven_m4,
+    "todd_m5": _todd_m5,
+    "todd_m4": _todd_m4,
+    "skew_m5": _skew_m5,
+    "skew_m4": _skew_m4,
+}

@@ -27,12 +27,12 @@ from rosepencil.structured import (_even_odd_recipe, cauchy_maslov_index,
                                    symmetric_linearization,
                                    t_even_linearization, t_odd_linearization)
 from rosepencil.verify import (det_proportionality, eig_multiset,
-                               minimal_basis_degree_sweep, multiset_distance,
-                               pencil_eigenvalues)
+                               minimal_basis_degree_sweep, pencil_eigenvalues)
 from conftest import (all_permutations, ints, make_realization, poly,
                       product_gfpr, zero_corner_realization)
 from lemma_oracles import (appendix_witnesses, elimination_witness,
-                           lambda_alpha, omega_alpha)
+                           lambda_alpha, multiset_distance, omega_alpha, rciss)
+from paper_examples import ENTRIES, entry_rng
 
 
 def _report(criterion, ok, detail, t0):
@@ -46,17 +46,15 @@ def _report(criterion, ok, detail, t0):
 # 1. example reconstruction, zero tolerance, < 5 s
 
 def test_criterion_1_example_reconstruction():
-    from rosepencil.examples import run_all
     t0 = time.perf_counter()
-    results = run_all(seed=0)
-    by_id = {r.eid: r for r in results}
+    for eid, entry in ENTRIES.items():
+        entry(entry_rng(eid, 0))   # raises unless reproduced exactly
     displays = ("gfpr_m4", "sym_m5_h2", "sym_m6_h0", "teven_m5", "teven_m4",
                 "todd_m5", "skew_m5", "skew_m4")
-    ok = all(d in by_id and by_id[d].ok for d in displays)
-    ok &= all(r.ok for r in results)
+    ok = all(d in ENTRIES for d in displays)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 5.0
-    _report(1, ok, f"{len(results)} corpus entries exact, "
+    _report(1, ok, f"{len(ENTRIES)} corpus entries exact, "
                    f"{len(displays)} published displays, zero tolerance", t0)
 
 
@@ -65,8 +63,8 @@ def test_criterion_1_example_reconstruction():
 
 def test_criterion_2_combinatorics():
     t0 = time.perf_counter()
-    ok = tp.rciss((8, 9, 10, 7, 6, 5, 2, 3, 4, 1, 0)).pairs == (2, 4, 2, 2)
-    ok &= tp.rciss((10, 9, 5, 6, 7, 8, 3, 4, 2, 0, 1)).pairs == \
+    ok = rciss((8, 9, 10, 7, 6, 5, 2, 3, 4, 1, 0)).pairs == (2, 4, 2, 2)
+    ok &= rciss((10, 9, 5, 6, 7, 8, 3, 4, 2, 0, 1)).pairs == \
         (0, 2, 3, 1, 1, 2, 1, 0)
     ok &= tp.consecutions((1, 0, 2, 1, 3, 2, 4, 1, 3, 2, 1), 0) == 3
     count = 0
@@ -86,13 +84,14 @@ def test_criterion_2_combinatorics():
 # 3. quasi-identity: worked-example sign patterns + uniqueness on 100 draws
 
 def test_criterion_3_quasi_identity():
-    from rosepencil.examples import run_example
     t0 = time.perf_counter()
     displays = ("teven_m5", "teven_m4", "todd_m5", "todd_m4",
                 "skew_m5", "skew_m4")
     # each corpus entry asserts the printed sign pattern (up to the global
     # sign of the border-normalized form) against find_quasi_identity
-    ok = all(run_example(d, seed=0).ok for d in displays)
+    for d in displays:
+        ENTRIES[d](entry_rng(d, 0))
+    ok = True
 
     rng = np.random.default_rng(42)
     builders = {"t-even": t_even_linearization,

