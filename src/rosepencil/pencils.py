@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tuples as tp
-from .polymat import PolyMatrix
+from .polymat import PolyMatrix, _nonsingular
 
 __all__ = [
     "BlockPencil", "GfprRecipe", "RecipeError",
@@ -181,14 +181,14 @@ class GfprRecipe:
         tau_l, tau_r = self.tau[:k], self.tau[k + 1:]
         return tp.neg(tp.rev(tau_l)) + tuple(self.sigma) + tp.neg(tp.rev(tau_r))
 
-    def assignments_nonsingular(self, P, tol=0.0):
+    def assignments_nonsingular(self, P):
         """True when every matrix assigned at an index 0 or -m position
         (in the decorations) is nonsingular."""
         for t, mats in ((self.sigma1, self.X1), (self.sigma2, self.X2),
                         (self.tau1, self.Y1), (self.tau2, self.Y2)):
             mats = _resolve_assignment(t, mats, P)
             for i, X in zip(t, mats):
-                if i in (0, -self.m) and abs(np.linalg.det(X)) <= tol:
+                if i in (0, -self.m) and not _nonsingular(X):
                     return False
         return True
 

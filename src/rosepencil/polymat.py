@@ -22,6 +22,12 @@ __all__ = [
 ]
 
 
+def _nonsingular(M):
+    """False only when LU meets an exact zero pivot, the verdict of
+    det(M) == 0 without its underflow: slogdet's sign."""
+    return np.linalg.slogdet(M)[0] != 0
+
+
 def _as_coeff_stack(coeffs):
     arr = np.array(coeffs, dtype=complex)
     if arr.ndim != 3:

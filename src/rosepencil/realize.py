@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polymat import MatrixPolynomial, PolyMatrix, structure_check
+from .polymat import MatrixPolynomial, PolyMatrix, _nonsingular, structure_check
 
 __all__ = [
     "Realization", "SystemMatrix", "system_matrix", "is_minimal",
@@ -59,7 +59,7 @@ class Realization:
                                ("A", self.A, (r, r)), ("B", self.B, (r, n))):
             if M.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
-        if r > 0 and abs(np.linalg.det(self.E)) == 0:
+        if r > 0 and not _nonsingular(self.E):
             raise ValueError("E must be nonsingular")
 
     @property

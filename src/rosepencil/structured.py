@@ -19,8 +19,9 @@ import numpy as np
 from . import tuples as tp
 from .pencils import (BlockPencil, GfprRecipe, RecipeError, _block_map, gfpr,
                       trivial_assignment)
-from .polymat import (_STRUCTURE_RULES, _structure_tol, block_transpose_dense,
-                      normalize_tag, quasi_identity_diagonal, structure_check)
+from .polymat import (_STRUCTURE_RULES, _nonsingular, _structure_tol,
+                      block_transpose_dense, normalize_tag, quasi_identity_diagonal,
+                      structure_check)
 from .realize import STRUCTURED_KINDS, StructuralViolation
 from .verify import VerificationFailure, _eig_clusters
 
@@ -204,7 +205,7 @@ def symmetric_linearization(re, h, t_wh=(), t_vh=(), X=None, Y=None):
                 raise StructuralViolation(f"assignment in {name} is not symmetric")
 
     def singular(j):
-        return abs(np.linalg.det(re.P.coeff(j))) == 0
+        return not _nonsingular(re.P.coeff(j))
 
     if re.m % 2 == 0 and singular(re.m):
         raise StructuralViolation(
@@ -258,7 +259,7 @@ def _even_odd_recipe(re, h, z, t_w=(), t_z=()):
     c_w = tp.symmetric_complement(w)
     c_z = tp.shift(tp.symmetric_complement(zadm), -m)
 
-    Am_singular = abs(np.linalg.det(P.coeff(m))) == 0
+    Am_singular = not _nonsingular(P.coeff(m))
     if zadm.p > 0 and Am_singular:
         raise StructuralViolation(
             f"Ind(z + m) = {zadm.p} > 0 requires a nonsingular leading "
@@ -272,7 +273,7 @@ def _even_odd_recipe(re, h, z, t_w=(), t_z=()):
             raise RecipeError(
                 f"t_z + m = {tp.shift(t_z, m)} is not type-1 right relative "
                 "to rev(z + m)")
-        if 0 in t_w and abs(np.linalg.det(P.coeff(0))) == 0:
+        if 0 in t_w and not _nonsingular(P.coeff(0)):
             raise StructuralViolation("0 in t_w requires a nonsingular A_0")
         if -m in t_z and Am_singular:
             raise StructuralViolation("-m in t_z requires a nonsingular A_m")

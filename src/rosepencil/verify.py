@@ -2,11 +2,12 @@
 
 Unimodular equivalence of a pencil to its system matrix is checked by
 proxy: det L(z) / det S(z), by slogdet at seeded random points, must be
-constant.  Eigenvalues come from QZ, real QZ when the data is real, and
-are judged by their backward error.  The structure at infinity is the
-list of partial multiplicities at infinity, read off a staircase of SVDs
-on the reversed pencil (Van Dooren 1979) without any QZ, and checked
-against the same list for a companion form of S.
+constant.  Eigenvalues come from QZ, one direct call of LAPACK ggev
+(dggev when the data is real, zggev otherwise), and are judged by their
+backward error.  The structure at infinity is the list of partial
+multiplicities at infinity, read off a staircase of SVDs on the reversed
+pencil (Van Dooren 1979) without any QZ, and checked against the same
+list for a companion form of S.
 """
 
 import math
@@ -89,18 +90,48 @@ def _real_if_real(X, Y):
     return X.real, Y.real
 
 
+def _qz(A, B, vectors=False):
+    """(alpha, beta, vl, vr) of the pencil (A, B) by one LAPACK ggev:
+    dggev for real data, zggev for complex.  alpha and beta are complex,
+    as scipy.linalg.eig(A, B, homogeneous_eigvals=True) gives them, bit
+    for bit; with vectors, vl and vr hold the left and right
+    eigenvectors as unit columns (complex once real QZ finds a conjugate
+    pair), else they are None.  Non-finite input is a ValueError."""
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    ggev, = scipy.linalg.get_lapack_funcs(("ggev",), (A, B))
+    lwork = int(ggev(A, B, lwork=-1)[-2][0].real)  # the query scipy makes
+    *ab, vl, vr, _, info = ggev(A, B, compute_vl=vectors, compute_vr=vectors,
+                                lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(
+            f"generalized eig algorithm (ggev) did not converge (LAPACK info={info})")
+    if len(ab) == 3:
+        alphar, alphai, beta = ab
+        ab = alphar + 1j * alphai, beta.astype(complex)
+        if vectors and alphai.any():
+            # dggev stores the vectors of a conjugate pair j, j + 1
+            # (alphai[j] > 0) as the real and imaginary parts of the
+            # vector of j, in columns j and j + 1
+            j = np.flatnonzero(alphai > 0)
+            vl, vr = vl.astype(complex), vr.astype(complex)
+            for v in (vl, vr):
+                v.imag[:, j] = v.real[:, j + 1]
+                v[:, j + 1] = v[:, j].conj()
+    if not vectors:
+        return *ab, None, None
+    return *ab, vl / np.linalg.norm(vl, axis=0), vr / np.linalg.norm(vr, axis=0)
+
+
 def _eig_clusters(X, Y, cluster_tol=1e-6, vectors=False):
     """The finite eigenvalues of pencil_eigenvalues as (mean, indices)
     clusters, each value joining the cluster before it when within
     cluster_tol (relative) of its running mean, and with vectors the
-    left and right eigenvectors (unit columns)."""
+    left and right eigenvectors (unit columns).  The one QZ is _qz on
+    (-X, Y); the finite values are visited in the order of their real,
+    then imaginary parts, each rounded to 8 decimals."""
     X, Y = _real_if_real(X, Y)
-    if vectors:
-        (alpha, beta), vl, vr = scipy.linalg.eig(
-            -X, Y, left=True, right=True, homogeneous_eigvals=True)
-    else:
-        alpha, beta = scipy.linalg.eigvals(-X, Y, homogeneous_eigvals=True)
-        vl = vr = None
+    alpha, beta, vl, vr = _qz(-X, Y, vectors)
     if X.dtype != complex:
         # real QZ lists a conjugate pair as j (imaginary part > 0), j + 1,
         # with betas that may differ; mirror j onto j + 1 so the pair is
@@ -114,15 +145,19 @@ def _eig_clusters(X, Y, cluster_tol=1e-6, vectors=False):
     b = np.abs(beta) / max(float(np.linalg.norm(Y)), 1e-300)
     if np.any((a <= tol) & (b <= tol)):
         raise VerificationFailure("singular pencil: determinant vanishes identically")
-    z = alpha / np.where(b > tol, beta, 1.0)
+    fin = np.flatnonzero(b > tol)
+    z = alpha[fin] / beta[fin]
+    order = np.lexsort((np.round(z.imag, 8), np.round(z.real, 8)))
     out = []
-    for i in sorted(np.flatnonzero(b > tol),
-                    key=lambda i: (round(z[i].real, 8), round(z[i].imag, 8))):
-        if out and abs(z[i] - out[-1][0]) <= cluster_tol * (1.0 + abs(z[i])):
+    for i, zi in zip(fin[order].tolist(), z[order].tolist()):
+        if out and abs(zi - out[-1][0]) <= cluster_tol * (1.0 + abs(zi)):
             zc, idx = out[-1]
-            out[-1] = ((zc * len(idx) + z[i]) / (len(idx) + 1), idx + [i])
+            # numpy divides by a reciprocal, Python's complex division
+            # does not: the mean stays in numpy's arithmetic, bit for bit
+            zc = (np.complex128(zc) * len(idx) + zi) / (len(idx) + 1)
+            out[-1] = (zc, idx + [i])
         else:
-            out.append((z[i], [i]))
+            out.append((zi, [i]))
     return out, vl, vr
 
 

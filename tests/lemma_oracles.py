@@ -8,7 +8,8 @@ products of elementary matrices M_i(X) and of system-matrix Fiedler
 factors, are the references the block-map scatter and the bordered
 builders of ``rosepencil.pencils`` are compared against, and
 the per-eigenvalue loop is the reference for the stacked backward
-errors of ``rosepencil.verify``.  The RCISS of a permutation gives the
+errors of ``rosepencil.verify``, as the sorted Python loop is for its
+eigenvalue clusters.  The RCISS of a permutation gives the
 powers in the witness columns, and the optimal-assignment distance
 compares eigenvalue multisets.  The probe
 Cauchy-Maslov index counts eigenvalue jumps of G at p +/- delta; it is
@@ -20,6 +21,7 @@ sizes where its offset and threshold resolve every pole (residues near
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from rosepencil import tuples as tp
 from rosepencil.pencils import BlockPencil, _resolve_assignment
@@ -484,6 +486,33 @@ def backward_errors_loop(M, eigenvalues):
         s = np.linalg.svd(pm(z), compute_uv=False)
         scale = sum(c * abs(z) ** j for j, c in enumerate(norms))
         out.append(float(s[-1]) / max(scale, 1e-300))
+    return out
+
+
+def eig_clusters_loop(X, Y, cluster_tol=1e-6):
+    """Reference for the clusters of ``verify._eig_clusters``: QZ by
+    scipy.linalg.eigvals, the finite values sorted by a Python key of
+    rounded real and imaginary parts and merged by a loop over numpy
+    scalars."""
+    X = np.asarray(X, dtype=complex)
+    Y = np.asarray(Y, dtype=complex)
+    if not (X.imag.any() or Y.imag.any()):
+        X, Y = X.real, Y.real
+    alpha, beta = scipy.linalg.eigvals(-X, Y, homogeneous_eigvals=True)
+    if X.dtype != complex:
+        j = np.flatnonzero(alpha.imag > 0)
+        alpha[j + 1], beta[j + 1] = alpha[j].conj(), beta[j]
+    tol = np.sqrt(np.finfo(float).eps)
+    b = np.abs(beta) / max(float(np.linalg.norm(Y)), 1e-300)
+    z = alpha / np.where(b > tol, beta, 1.0)
+    out = []
+    for i in sorted(np.flatnonzero(b > tol),
+                    key=lambda i: (round(z[i].real, 8), round(z[i].imag, 8))):
+        if out and abs(z[i] - out[-1][0]) <= cluster_tol * (1.0 + abs(z[i])):
+            zc, idx = out[-1]
+            out[-1] = ((zc * len(idx) + z[i]) / (len(idx) + 1), idx + [i])
+        else:
+            out.append((z[i], [i]))
     return out
 
 

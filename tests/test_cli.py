@@ -441,6 +441,19 @@ def test_schema_error_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_e_with_an_underflowing_determinant_builds(capsys, tmp_path):
+    # det(0.01 I_200) underflows to 0, yet E is perfectly conditioned
+    r = 200
+    prob = _dump(tmp_path, "prob.json", {
+        "realization": {"kind": "general", "P": [[[1]], [[2]], [[1]]],
+                        "C": [[1] * r], "E": (0.01 * np.eye(r)).tolist(),
+                        "A": np.eye(r).tolist(), "B": [[1]] * r},
+        "recipe": {"sigma": [1, 0]}})
+    code, out = run(capsys, "build", "--kind", "fp", "--problem", prob)
+    assert code == 0
+    assert json.loads(out)["r"] == r
+
+
 def test_missing_file_is_schema_error(capsys, tmp_path):
     code, _ = run(capsys, "build", "--kind", "fp",
                   "--problem", str(tmp_path / "nope.json"))

@@ -52,6 +52,22 @@ def test_singular_e_rejected(rng):
         Realization(re.P, C=re.C, E=E, A=re.A, B=re.B)
 
 
+def test_e_with_an_underflowing_determinant_is_accepted():
+    """det(0.01 I_200) = 1e-400 underflows to 0, yet E is perfectly
+    conditioned: nonsingularity is not read off the determinant."""
+    from rosepencil.polymat import MatrixPolynomial
+    r = 200
+    assert np.linalg.det(0.01 * np.eye(r)) == 0.0
+    re = Realization(MatrixPolynomial([np.eye(1), np.eye(1)]), C=np.ones((1, r)),
+                     E=0.01 * np.eye(r), A=np.eye(r), B=np.ones((r, 1)))
+    assert re.r == r
+    # an exactly singular E of the same size is still refused
+    E = 0.01 * np.eye(r)
+    E[7, 7] = 0.0
+    with pytest.raises(ValueError, match="E must be nonsingular"):
+        Realization(re.P, C=re.C, E=E, A=re.A, B=re.B)
+
+
 def test_minimality(rng):
     # scalar G = 1/(lam - 1) with a duplicated (uncontrollable) state
     from rosepencil.polymat import MatrixPolynomial

@@ -145,6 +145,27 @@ def test_singular_a0_or_am_under_the_trivial_assignment_is_structural(rng):
         symmetric_linearization(ok, 0, t_vh=(-3,), Y=(np.zeros((2, 2)),))
 
 
+def test_leading_coefficient_with_an_underflowing_determinant_builds(rng):
+    """A_m = 1e-3 I_120 has det 1e-360, which underflows to 0; it is
+    nonsingular, so an even m builds the symmetric linearization."""
+    n, m = 120, 2
+    assert np.linalg.det(1e-3 * np.eye(n)) == 0.0
+    S = rng.normal(size=(n, n))
+    P = MatrixPolynomial([np.eye(n), S + S.T, 1e-3 * np.eye(n)])
+    re = make_structured_realization("symmetric", P, np.diag([1.0, -2.0]),
+                                     rng.normal(size=(2, n)))
+    L = symmetric_linearization(re, 0)
+    assert L.X.shape == (m * n + 2, m * n + 2)
+    # the same size with an exactly singular A_m is still refused
+    Am = 1e-3 * np.eye(n)
+    Am[5, 5] = 0.0
+    sing = make_structured_realization(
+        "symmetric", MatrixPolynomial([np.eye(n), S + S.T, Am]),
+        np.diag([1.0, -2.0]), re.B)
+    with pytest.raises(StructuralViolation, match="A_m must be nonsingular"):
+        symmetric_linearization(sing, 0)
+
+
 def test_t_pencil_tuples(rng):
     assert t_pencil_tuples(3) == ((), (-3,))
     assert t_pencil_tuples(5) == ((), (-5, -4, -3, -5))

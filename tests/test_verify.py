@@ -1,12 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from rosepencil import verify
+from rosepencil.cli import main
 from rosepencil.polymat import MatrixPolynomial, PolyMatrix
-from rosepencil.realize import Realization, system_matrix
+from rosepencil.realize import (Realization, make_structured_realization,
+                                system_matrix)
 from rosepencil.pencils import BlockPencil, GfprRecipe, fiedler_pencil, gfpr
-from rosepencil.structured import skew_symmetric_linearization
-from rosepencil.verify import (VerificationFailure, backward_errors,
+from rosepencil.structured import (cauchy_maslov_index,
+                                   skew_symmetric_linearization,
+                                   symmetric_linearization)
+from rosepencil.verify import (VerificationFailure, _qz, backward_errors,
                                det_proportionality, eig_multiset,
                                infinity_structure, minimal_basis_degree_sweep,
                                normal_rank, nullspace_at, pencil_eigenvalues)
@@ -14,7 +21,7 @@ from conftest import all_permutations, det_poly, \
     gaussian_skew_symmetric_realization, ints, make_realization, poly, \
     zero_corner_realization
 from lemma_oracles import appendix_witnesses, argument_principle_count, \
-    backward_errors_loop, elimination_witness, lambda_alpha, \
+    backward_errors_loop, eig_clusters_loop, elimination_witness, lambda_alpha, \
     multiset_distance, omega_alpha, product_equal
 
 
@@ -154,6 +161,125 @@ def test_pencil_eigenvalues_identically_singular():
         pencil_eigenvalues(X, X)
 
 
+def _qz_case(kind):
+    """A 9 x 9 pair (A, B) with seeded Gaussian entries: real (with
+    complex-conjugate eigenvalues), complex, or real with B singular; or
+    a real 140 x 140 pair, past the size where LAPACK's blocked QR needs
+    the workspace that the lwork query returns."""
+    g = np.random.default_rng(31).normal
+    k = 140 if kind == "large" else 9
+    A, B = g(size=(k, k)), g(size=(k, k))
+    if kind == "complex":
+        A, B = A + 1j * g(size=(9, 9)), B + 1j * g(size=(9, 9))
+    elif kind == "singular":
+        B[:, 4] = 0.0
+    return A, B
+
+
+@pytest.mark.parametrize("vectors", [False, True])
+@pytest.mark.parametrize("kind", ["real", "complex", "singular", "large"])
+def test_qz_kernel_matches_scipy(kind, vectors):
+    """One ggev call gives scipy.linalg.eig's alpha and beta bit for bit,
+    and its vectors as unit columns; scipy serves here as the oracle."""
+    A, B = _qz_case(kind)
+    alpha, beta, vl, vr = _qz(A, B, vectors)
+    if vectors:
+        (ra, rb), rl, rr = scipy.linalg.eig(A, B, left=True, right=True,
+                                            homogeneous_eigvals=True)
+    else:
+        ra, rb = scipy.linalg.eig(A, B, right=False, homogeneous_eigvals=True)
+        assert vl is None and vr is None
+    assert alpha.dtype == beta.dtype == complex
+    assert alpha.tobytes() == ra.tobytes() and beta.tobytes() == rb.tobytes()
+    if kind in ("real", "large"):
+        assert (alpha.imag > 0).any()      # a conjugate pair
+    if kind == "singular":
+        assert np.abs(beta).min() <= 1e-12 * np.abs(beta).max()   # at infinity
+    if vectors:
+        for v, ref in ((vl, rl), (vr, rr)):
+            assert v.dtype == ref.dtype
+            assert np.abs(np.linalg.norm(v, axis=0) - 1.0).max() <= 1e-14
+            assert np.abs(v - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eig_clusters_match_the_sorted_loop(seed):
+    """The lexsort order and the merge over Python complex values give the
+    sorted loop's clusters bit for bit: means, indices and order, on
+    pencils with repeated eigenvalues (clusters of two and three),
+    conjugate pairs, an eigenvalue at infinity, and complex data."""
+    g = np.random.default_rng(seed).normal
+    d = np.array([2.0, 2.0, 2.0, -1.0, -1.0, 0.5, 3.0, 0.0])
+    T, S = g(size=(8, 8)), g(size=(8, 8))
+    cases = [(T @ np.diag(d) @ S, T @ S), (g(size=(12, 12)), g(size=(12, 12)))]
+    Y = T @ np.diag([1.0] * 7 + [0.0]) @ S
+    cases.append((T @ np.diag(d + 1.0) @ S, Y))
+    cases.append((g(size=(10, 10)) + 1j * g(size=(10, 10)), g(size=(10, 10))))
+    for X, Y in cases:
+        got = verify._eig_clusters(X, Y)[0]
+        want = eig_clusters_loop(X, Y)
+        assert [(complex(z).real.hex(), complex(z).imag.hex(), idx) for z, idx in got] \
+            == [(complex(z).real.hex(), complex(z).imag.hex(), [int(i) for i in idx])
+                for z, idx in want]
+    assert max(len(idx) for z, idx in verify._eig_clusters(*cases[0])[0]) == 3
+
+
+def test_no_scipy_eig_in_the_library(monkeypatch, tmp_path, capsys):
+    """pencil_eigenvalues, cauchy_maslov_index and `rosepencil verify`
+    run their QZ without scipy.linalg.eig or eigvals.  The residue at
+    each pole of B^T (lam - A)^{-1} B is b_i b_i^T, so the index is 3."""
+    def refused(*args, **kwargs):
+        raise AssertionError("scipy.linalg.eig or eigvals was called")
+
+    monkeypatch.setattr(scipy.linalg, "eig", refused)
+    monkeypatch.setattr(scipy.linalg, "eigvals", refused)
+    g = np.random.default_rng(8).normal
+    A, B = _qz_case("real")
+    assert sum(k for _, k in pencil_eigenvalues(A, B)) == 9
+    S = g(size=(2, 2))
+    P = MatrixPolynomial([np.eye(2), S + S.T])
+    re = make_structured_realization("symmetric", P, np.diag([1.0, -2.0, 3.0]),
+                                     g(size=(3, 2)))
+    assert cauchy_maslov_index(re) == cauchy_maslov_index(
+        symmetric_linearization(re, 0)) == 3
+    paths = [str(tmp_path / f) for f in ("prob.json", "pencil.json", "verify.json")]
+    with open(paths[0], "w") as fh:
+        json.dump({"realization": {
+            "kind": "general", "P": [g(size=(2, 2)).tolist() for _ in range(3)],
+            "C": g(size=(2, 2)).tolist(), "E": np.eye(2).tolist(),
+            "A": g(size=(2, 2)).tolist(), "B": g(size=(2, 2)).tolist()},
+            "recipe": {"sigma": [1, 0]}}, fh)
+    for argv in (["build", "--kind", "fp", "--problem", paths[0], "--out", paths[1]],
+                 ["verify", "--problem", paths[0], "--pencil", paths[1],
+                  "--out", paths[2]]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0, capsys.readouterr().err
+    with open(paths[2]) as fh:
+        assert json.load(fh)["ok"] is True
+
+
+def test_non_finite_input_is_refused_before_lapack(monkeypatch):
+    X, Y = _qz_case("real")
+    X[3, 5] = np.nan
+    re = make_structured_realization(
+        "symmetric", MatrixPolynomial([np.eye(2), np.eye(2)]),
+        np.diag([1.0, -2.0]), np.eye(2))
+    A = re.A.copy()
+    A[0, 0] = np.inf
+    re = Realization(re.P, C=re.C, E=re.E, A=A, B=re.B, structure="symmetric")
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK was reached")
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", no_lapack)
+    monkeypatch.setattr(scipy.linalg._decomp, "get_lapack_funcs", no_lapack)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        pencil_eigenvalues(X, Y)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cauchy_maslov_index(re)
+
+
 def test_argument_principle_oracle(rng):
     X = ints(rng, 4, 4)
     Y = ints(rng, 4, 4) + 5 * np.eye(4)
@@ -231,7 +357,9 @@ def test_infinity_structure(rng, monkeypatch):
     def no_qz(*args, **kwargs):
         raise AssertionError("infinity_structure ran QZ")
 
-    monkeypatch.setattr(scipy.linalg, "eigvals", no_qz)
+    for module, name in ((verify, "_qz"), (scipy.linalg, "eig"),
+                         (scipy.linalg, "eigvals")):
+        monkeypatch.setattr(module, name, no_qz)
     re = make_realization("general", rng, m=3, ns_top=True)
     L = fiedler_pencil((0, 1, 2), re)
     rep = infinity_structure(L, system_matrix(re))
