@@ -13,6 +13,8 @@ import argparse
 import cmath
 import functools
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -242,11 +244,21 @@ def _parse_problem(path):
 
 def _emit(data, args):
     text = json.dumps(data, indent=2 if args.pretty else None)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
+    path = getattr(args, "out", None)
+    if not path:
         print(text)
+        return
+    try:
+        # write over the old bytes, then cut: on some disks truncating a
+        # file that holds data to zero on open stalls for tens of ms.
+        # Only a regular file is cut; ftruncate fails on pipes and devices.
+        with open(path, "w", opener=lambda p, f: os.open(
+                p, f & ~os.O_TRUNC, 0o666)) as fh:
+            fh.write(text + "\n")
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -458,6 +459,98 @@ def test_missing_file_is_schema_error(capsys, tmp_path):
     code, _ = run(capsys, "build", "--kind", "fp",
                   "--problem", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_out_is_schema_error(capsys, tmp_path, gen_problem, where):
+    out = tmp_path / "nope" / "pencil.json" if where == "missing-dir" else tmp_path
+    with pytest.raises(SystemExit) as e:
+        main(["build", "--kind", "gfpr", "--problem", gen_problem,
+              "--out", str(out)])
+    assert e.value.code == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+
+
+def _eig_out(capsys, tmp_path, gen_problem):
+    """A built pencil's path and the compact stdout of eig on it."""
+    pencil = str(tmp_path / "pencil.json")
+    run(capsys, "build", "--kind", "gfpr", "--problem", gen_problem,
+        "--out", pencil)
+    code, compact = run(capsys, "eig", "--pencil", pencil)
+    assert code == 0
+    return pencil, compact
+
+
+def test_out_rewrite_cuts_the_file_to_the_new_text(capsys, tmp_path,
+                                                   gen_problem):
+    pencil, compact = _eig_out(capsys, tmp_path, gen_problem)
+    out = tmp_path / "eig.json"
+    run(capsys, "eig", "--pencil", pencil, "--pretty", "--out", str(out))
+    assert out.stat().st_size > len(compact)
+    code, _ = run(capsys, "eig", "--pencil", pencil, "--out", str(out))
+    assert code == 0
+    assert out.read_text() == compact
+
+
+def test_out_is_never_opened_with_o_trunc(capsys, tmp_path, gen_problem,
+                                          monkeypatch):
+    pencil, _ = _eig_out(capsys, tmp_path, gen_problem)
+    out = str(tmp_path / "eig.json")
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *rest, **kw):
+        if str(path) == out:
+            flags.append(flag)
+        return real_open(path, flag, *rest, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    for _ in range(2):  # create, then rewrite
+        code, _ = run(capsys, "eig", "--pencil", pencil, "--out", out)
+        assert code == 0
+    assert len(flags) == 2
+    assert not any(f & os.O_TRUNC for f in flags)
+
+
+@pytest.mark.parametrize("target", ["devnull", "pipe"])
+def test_out_to_a_file_that_is_not_regular(capsys, tmp_path, gen_problem,
+                                           target):
+    pencil, compact = _eig_out(capsys, tmp_path, gen_problem)
+    if target == "devnull":
+        code, _ = run(capsys, "eig", "--pencil", pencil, "--out", os.devnull)
+        assert code == 0
+        return
+    r, w = os.pipe()
+    try:
+        code, _ = run(capsys, "eig", "--pencil", pencil,
+                      "--out", f"/dev/fd/{w}")
+        os.close(w)
+        w = None
+        assert code == 0
+        with os.fdopen(r) as fh:
+            r = None
+            assert fh.read() == compact
+    finally:
+        for fd in (r, w):
+            if fd is not None:
+                os.close(fd)
+
+
+def test_out_writes_through_a_symlink_and_keeps_the_inode(capsys, tmp_path,
+                                                          gen_problem):
+    pencil, compact = _eig_out(capsys, tmp_path, gen_problem)
+    target = tmp_path / "target.json"
+    target.write_text("x" * 10 * len(compact))
+    target.chmod(0o600)
+    ino = target.stat().st_ino
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, _ = run(capsys, "eig", "--pencil", pencil, "--out", str(link))
+    assert code == 0
+    assert link.is_symlink()
+    assert target.stat().st_ino == ino
+    assert target.stat().st_mode & 0o777 == 0o600
+    assert target.read_text() == compact
 
 
 def test_recipe_error_exit_code(capsys, tmp_path, gen_problem):
