@@ -3,10 +3,11 @@ of rational matrices given in state-space realization form.
 
 Subpackages/modules:
 
-- ``tuples``      index-tuple combinatorics (SIP, csf, consecutions, admissible tuples, ...)
+- ``tuples``      index-tuple combinatorics (csf, admissible tuples, complements, ...)
 - ``polymat``     matrix polynomials, block transpose, structure predicates
 - ``realize``     realizations G(lam) = P(lam) + C (lam E - A)^{-1} B and system matrices
-- ``pencils``     FP / GFP / GFPR pencil builders (blocks scattered from a block map, bordered)
+- ``pencils``     FP / GFP / GFPR pencil builders (blocks scattered from a block map that
+                  also decides the SIP and the border blocks, bordered)
 - ``structured``  block-symmetric, symmetric, T-even/T-odd, (skew-)Hamiltonian,
                   skew-symmetric linearizations; quasi-identity signs; Cauchy-Maslov index
 - ``recover``     eigenvector / minimal-basis / minimal-index recovery maps

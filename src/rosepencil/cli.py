@@ -381,6 +381,10 @@ def cmd_recover(args):
     recipe = _parse_recipe(_load_json(args.recipe, "recipe file"))
     if recipe.m != L.m:
         raise SchemaError(f"recipe degree {recipe.m} != pencil m = {L.m}")
+    blocks = (L.col_block, L.row_block)
+    if None not in blocks and recipe.border() != blocks:
+        raise SchemaError(f"recipe borders (col_block, row_block) = {recipe.border()} "
+                          f"!= the pencil's {blocks}")
     basis = _load_json(args.basis, "basis file")
     _check_keys(basis, {"data", "kind", "side", "degrees"}, "basis")
     if "data" not in basis:

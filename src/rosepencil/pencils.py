@@ -9,6 +9,9 @@ factors of P and borders it operation-free: C in the column of block
 u = m - i_0, B in the row of block v = m - c_0, and A - lam*E in the
 r x r corner.  Products over SIP tuples are operation-free, so their blocks
 are scattered by a cached block map; factor products are test oracles.
+The block map also decides the rest of the recipe combinatorics: a tuple
+satisfies the SIP exactly when its map builds, and (u, v) is the block
+that holds the label of the core's factor M_0.
 """
 
 import functools
@@ -108,6 +111,15 @@ def _block_map(t, m):
     return lab
 
 
+@functools.lru_cache(maxsize=1024)
+def _border(t, m, k):
+    """The 1-based (row, column) block of the block map of t that holds
+    label 2 + k (X_k): for k the position of the core's 0, the C column
+    block u and the B row block v of the bordered form."""
+    (u,), (v,) = np.nonzero(_block_map(t, m) == 2 + k)
+    return int(u) + 1, int(v) + 1
+
+
 @dataclass(frozen=True)
 class GfprRecipe:
     """(sigma1, sigma, sigma2; tau1, tau, tau2) with matrix assignments.
@@ -150,10 +162,12 @@ class GfprRecipe:
                                 ("tau2", self.tau2, -m, -h - 2)):
             if any(x < lo or x > hi for x in t):
                 raise RecipeError(f"{name} entries must lie in {{{lo}:{hi}}}: {t}")
-        if not tp.is_sip(self.sigma1 + sigma + self.sigma2, h):
-            raise RecipeError("(sigma1, sigma, sigma2) violates the SIP")
-        if not tp.is_sip(self.tau1 + tau + self.tau2, m):
-            raise RecipeError("(tau1, tau, tau2) violates the SIP")
+        for name, t in (("(sigma1, sigma, sigma2)", self.sigma1 + sigma + self.sigma2),
+                        ("(tau1, tau, tau2)", self.tau1 + tau + self.tau2)):
+            try:
+                _block_map(t, m)
+            except ValueError as exc:
+                raise RecipeError(f"{name} violates the SIP") from exc
 
     @property
     def h(self):
@@ -165,14 +179,11 @@ class GfprRecipe:
                  (self.sigma2, self.X2), (self.tau2, self.Y2)]
                 for core in (self.sigma, self.tau)]
 
-    def right_index(self):
-        """c_0(sigma, sigma2): the B row of the bordered form sits at
-        block m - right_index()."""
-        return tp.consecutions(self.sigma + self.sigma2, 0)
-
-    def left_index(self):
-        """i_0(sigma1, sigma): the C column sits at block m - left_index()."""
-        return tp.inversions(self.sigma1 + self.sigma, 0)
+    def border(self):
+        """(u, v) = (m - i_0(sigma1, sigma), m - c_0(sigma, sigma2)): the
+        blocks of the C column and the B row, read off the map of -X."""
+        t = self.tau1 + self.sigma1 + self.sigma + self.sigma2 + self.tau2
+        return _border(t, self.m, len(self.tau1) + len(self.sigma1) + self.sigma.index(0))
 
     def alpha(self):
         """The permutation (-rev(tau_l), sigma, -rev(tau_r)) of {0:m-1}
@@ -229,8 +240,7 @@ def _bordered(X, Y, re, u, v, prov):
 def _fiedler_product_pencil(omega0, tau, re, prov):
     """lam * MS_tau - MS_omega0, bordered at blocks m - i_0, m - c_0 of omega0."""
     X, Y = _products([[(omega0, None)], [(tau, None)]], re.P, re.m * re.n + re.r)
-    return _bordered(X, Y, re, re.m - tp.inversions(omega0, 0),
-                     re.m - tp.consecutions(omega0, 0), prov)
+    return _bordered(X, Y, re, *_border(omega0, re.m, omega0.index(0)), prov)
 
 
 def fiedler_pencil(sigma, re):
@@ -276,5 +286,4 @@ def gfpr(recipe, re):
     if re.m != recipe.m:
         raise RecipeError(f"recipe degree {recipe.m} != realization degree {re.m}")
     X, Y = _products(recipe.sides(), re.P, re.m * re.n + re.r)
-    return _bordered(X, Y, re, re.m - recipe.left_index(),
-                     re.m - recipe.right_index(), {"family": "gfpr", "recipe": recipe})
+    return _bordered(X, Y, re, *recipe.border(), {"family": "gfpr", "recipe": recipe})

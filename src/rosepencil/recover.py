@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tuples as tp
+from .pencils import _border
 from .polymat import PolyMatrix
 
 __all__ = [
@@ -111,9 +112,8 @@ def recover_from_gfpr(bundle, recipe, side=None):
     side = bundle.side if side is None else side
     if side != bundle.side:
         raise ValueError(f"bundle carries {bundle.side} vectors, not {side}")
-    k = recipe.m - (recipe.right_index() if side == "right"
-                    else recipe.left_index())
-    return _recertify(_select_block(bundle, recipe.m, k))
+    u, v = recipe.border()
+    return _recertify(_select_block(bundle, recipe.m, v if side == "right" else u))
 
 
 def recover_from_pgf(bundle, omega0, m, side=None):
@@ -121,9 +121,11 @@ def recover_from_pgf(bundle, omega0, m, side=None):
     side = bundle.side if side is None else side
     if side != bundle.side:
         raise ValueError(f"bundle carries {bundle.side} vectors, not {side}")
-    k = m - (tp.consecutions(omega0, 0) if side == "right"
-             else tp.inversions(omega0, 0))
-    return _recertify(_select_block(bundle, m, k))
+    omega0 = tuple(omega0)
+    if 0 not in omega0:
+        raise ValueError(f"0 must belong to omega0: {omega0}")
+    u, v = _border(omega0, m, omega0.index(0))
+    return _recertify(_select_block(bundle, m, v if side == "right" else u))
 
 
 def recover_s_to_g(bundle):

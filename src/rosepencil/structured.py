@@ -285,14 +285,12 @@ def _even_odd_recipe(re, h, z, t_w=(), t_z=()):
 def _sign_normalized(re, recipe, target):
     """The GFPR times its recipe's quasi-identity Q (_map_signs), a row-sign
     broadcast with +1 at the border block so that the borders keep C and B."""
-    alpha = recipe.right_index()
-    if recipe.left_index() != alpha:
-        raise AssertionError(
-            f"border blocks disagree: i_0 = {recipe.left_index()}, "
-            f"c_0 = {alpha}")
+    u, v = recipe.border()
+    if u != v:
+        raise AssertionError(f"border blocks disagree: C column {u}, B row {v}")
     qs = _map_signs(tuple(sum((t for t, _ in side), ()) for side in recipe.sides()),
                     re.m, target)
-    signs = tuple(qs[re.m - alpha - 1] * e for e in qs)
+    signs = tuple(qs[v - 1] * e for e in qs)
     L = gfpr(recipe, re)
     d = quasi_identity_diagonal(signs, re.n, re.r)[:, None]
     L.X[:], L.Y[:] = L.X * d + 0.0, L.Y * d + 0.0   # Q L, zeros +0 as in Q @ L

@@ -2,11 +2,12 @@
 
 Index tuples are plain python tuples of integers.  They come in two
 ranges: non-negative tuples drawn from ``{0:h}`` and negative tuples
-drawn from ``{-h:-1}`` (tested after shifting by ``+h``).  All the
-bookkeeping that decides where borders land in a bordered pencil --
-successor infix property (SIP), column standard form (csf),
-consecutions/inversions, admissible tuples, symmetric complements,
-canonical-form tuples and type-1 rewrites -- lives here.
+drawn from ``{-h:-1}``.  The bookkeeping that picks the tuples of a
+recipe -- column standard form (csf), total consecutions/inversions,
+admissible tuples, symmetric complements, canonical-form tuples and
+type-1 rewrites -- lives here.  Whether a tuple satisfies the successor
+infix property (SIP), and where the borders of a bordered pencil land,
+is decided by the block map of ``rosepencil.pencils``.
 
 Everything is a pure function on immutable values.
 """
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "rev", "neg", "shift", "concat", "string",
-    "is_sip", "is_csf", "permutation_csf",
-    "consecutions", "inversions",
+    "is_csf", "permutation_csf",
     "total_consecutions", "total_inversions",
     "AdmissibleTuple", "admissible_tuple", "simple_admissible",
     "symmetric_complement", "is_canonical_form",
@@ -51,35 +51,6 @@ def string(k, ell):
     return tuple(range(k, ell + 1))
 
 
-def _normalize_range(t, h):
-    """Map a tuple from {0:h} or {-h:-1} into {0:h}; reject mixed signs."""
-    t = tuple(t)
-    if not t:
-        return t
-    if all(x >= 0 for x in t):
-        if any(x > h for x in t):
-            raise ValueError(f"tuple entry out of range {{0:{h}}}: {t}")
-        return t
-    if all(x < 0 for x in t):
-        if any(x < -h for x in t):
-            raise ValueError(f"tuple entry out of range {{-{h}:-1}}: {t}")
-        return shift(t, h)
-    raise ValueError(f"mixed-sign index tuple: {t}")
-
-
-def is_sip(t, h):
-    """Successor infix property: every repeated pair i_a = i_b (a < b)
-    has some i_c = i_a + 1 strictly between."""
-    s = _normalize_range(t, h)
-    p = len(s)
-    for a in range(p):
-        for b in range(a + 1, p):
-            if s[a] == s[b]:
-                if not any(s[c] == s[a] + 1 for c in range(a + 1, b)):
-                    return False
-    return True
-
-
 def _ascending_runs(t):
     """Split into maximal runs ascending by exactly 1."""
     runs = []
@@ -97,31 +68,6 @@ def is_csf(t):
     runs = _ascending_runs(tuple(t))
     ends = [r[-1] for r in runs]
     return all(ends[i] > ends[i + 1] for i in range(len(ends) - 1))
-
-
-def consecutions(t, k):
-    """c_k(t): the largest p with (k, k+1, ..., k+p) a subtuple of t;
-    -1 when k does not occur in t."""
-    t = tuple(t)
-    if k not in t:
-        return -1
-    cur = t.index(k)
-    p = 0
-    while True:
-        nxt = None
-        for j in range(cur + 1, len(t)):
-            if t[j] == k + p + 1:
-                nxt = j
-                break
-        if nxt is None:
-            return p
-        p += 1
-        cur = nxt
-
-
-def inversions(t, k):
-    """i_k(t): the largest p with (k+p, ..., k+1, k) a subtuple of t."""
-    return consecutions(rev(t), k)
 
 
 def _check_permutation(alpha):

@@ -1,5 +1,12 @@
 """Proof checks and the system-matrix product oracle.
 
+The successor infix property and the consecution and inversion indices
+c_0 and i_0, computed by scanning the tuple (``is_sip``,
+``consecutions``, ``inversions``, ``gfpr_border``), are the references
+for the block map of ``rosepencil.pencils``, which decides both: a
+recipe is refused exactly when ``is_sip`` fails on one of its sides, and
+its borders sit at blocks (m - i_0, m - c_0).
+
 The witness identities of the paper's appendix, U (e_1 (x) I) =
 Lambda_alpha, (e_1^T (x) I) V = Omega_alpha and the block-elimination
 corollary, are facts about P alone; the tests check them here.  The
@@ -24,6 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from rosepencil import tuples as tp
+from rosepencil.tuples import rev, shift
 from rosepencil.pencils import BlockPencil, _resolve_assignment
 from rosepencil.polymat import PolyMatrix
 from rosepencil.realize import StructuralViolation
@@ -104,6 +112,69 @@ def rciss(alpha):
             break
     return Rciss(pairs=tuple(pairs))
 
+
+# ---------------------------------------------------------------------------
+# the SIP and the border indices, by scanning the tuple
+
+def _normalize_range(t, h):
+    """Map a tuple from {0:h} or {-h:-1} into {0:h}; reject mixed signs."""
+    t = tuple(t)
+    if not t:
+        return t
+    if all(x >= 0 for x in t):
+        if any(x > h for x in t):
+            raise ValueError(f"tuple entry out of range {{0:{h}}}: {t}")
+        return t
+    if all(x < 0 for x in t):
+        if any(x < -h for x in t):
+            raise ValueError(f"tuple entry out of range {{-{h}:-1}}: {t}")
+        return shift(t, h)
+    raise ValueError(f"mixed-sign index tuple: {t}")
+
+
+def is_sip(t, h):
+    """Successor infix property: every repeated pair i_a = i_b (a < b)
+    has some i_c = i_a + 1 strictly between."""
+    s = _normalize_range(t, h)
+    p = len(s)
+    for a in range(p):
+        for b in range(a + 1, p):
+            if s[a] == s[b]:
+                if not any(s[c] == s[a] + 1 for c in range(a + 1, b)):
+                    return False
+    return True
+
+
+def consecutions(t, k):
+    """c_k(t): the largest p with (k, k+1, ..., k+p) a subtuple of t;
+    -1 when k does not occur in t."""
+    t = tuple(t)
+    if k not in t:
+        return -1
+    cur = t.index(k)
+    p = 0
+    while True:
+        nxt = None
+        for j in range(cur + 1, len(t)):
+            if t[j] == k + p + 1:
+                nxt = j
+                break
+        if nxt is None:
+            return p
+        p += 1
+        cur = nxt
+
+
+def inversions(t, k):
+    """i_k(t): the largest p with (k+p, ..., k+1, k) a subtuple of t."""
+    return consecutions(rev(t), k)
+
+
+def gfpr_border(recipe):
+    """(m - i_0(sigma1, sigma), m - c_0(sigma, sigma2)): the blocks of the
+    C column and the B row of the bordered GFPR, by the paper's indices."""
+    return (recipe.m - inversions(recipe.sigma1 + recipe.sigma, 0),
+            recipe.m - consecutions(recipe.sigma + recipe.sigma2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from rosepencil.realize import Realization, make_structured_realization
 from rosepencil.structured import (_even_odd_recipe, block_symmetric_gfpr,
                                    symmetric_linearization, t_even_linearization,
                                    t_odd_linearization, skew_symmetric_linearization)
-from lemma_oracles import rciss
+from lemma_oracles import consecutions, rciss
 
 
 def entry_rng(eid, seed):
@@ -134,7 +134,7 @@ def _rciss_b(rng):
 def _c0(rng):
     """c_0 of (1,0,2,1,3,2,4,1,3,2,1) equals 3."""
     alpha = (1, 0, 2, 1, 3, 2, 4, 1, 3, 2, 1)
-    got = tp.consecutions(alpha, 0)
+    got = consecutions(alpha, 0)
     assert got == 3, got
     return f"c_0 = {got}"
 
@@ -293,7 +293,7 @@ def _structured_display(re, h, z, signs, terms, build):
     n, r, m = re.n, re.r, re.m
     recipe = _even_odd_recipe(re, h, z)
     raw = gfpr(recipe, re)
-    border = m - recipe.right_index()
+    border = m - consecutions(recipe.sigma + recipe.sigma2, 0)
     s = signs[border - 1]
     q = quasi_identity_diagonal(signs, n, r)[:, None]
     Xd, Yd = _dense([n] * m + [r], terms)

@@ -30,7 +30,7 @@ from rosepencil.verify import (det_proportionality, eig_multiset,
                                minimal_basis_degree_sweep, pencil_eigenvalues)
 from conftest import (all_permutations, ints, make_realization, poly,
                       product_gfpr, zero_corner_realization)
-from lemma_oracles import (appendix_witnesses, elimination_witness,
+from lemma_oracles import (appendix_witnesses, consecutions, elimination_witness,
                            lambda_alpha, multiset_distance, omega_alpha, rciss)
 from paper_examples import ENTRIES, entry_rng
 
@@ -66,7 +66,7 @@ def test_criterion_2_combinatorics():
     ok = rciss((8, 9, 10, 7, 6, 5, 2, 3, 4, 1, 0)).pairs == (2, 4, 2, 2)
     ok &= rciss((10, 9, 5, 6, 7, 8, 3, 4, 2, 0, 1)).pairs == \
         (0, 2, 3, 1, 1, 2, 1, 0)
-    ok &= tp.consecutions((1, 0, 2, 1, 3, 2, 4, 1, 3, 2, 1), 0) == 3
+    ok &= consecutions((1, 0, 2, 1, 3, 2, 4, 1, 3, 2, 1), 0) == 3
     count = 0
     for m in range(1, 9):
         for alpha in itertools.permutations(range(m)):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rosepencil import structured
-from rosepencil.cli import _OPTIONS, _pencil_out, _parse_pencil, build_parser, \
-    main
+from rosepencil.cli import _OPTIONS, _pencil_out, _parse_pencil, _parse_problem, \
+    build_parser, main
 from rosepencil.pencils import GfprRecipe, fiedler_pencil, gfpr
 from rosepencil.polymat import MatrixPolynomial
 from rosepencil.realize import STRUCTURED_KINDS, StructuralViolation, \
@@ -650,6 +650,46 @@ def test_recover_refuses_a_malformed_basis(capsys, tmp_path, rng, change):
     out, err = capsys.readouterr()
     assert (e.value.code, out) == (2, "")
     assert err.startswith("schema error: basis")
+
+
+@pytest.mark.parametrize("sigma, border", [((1, 0, 2), (2, 3)), ((2, 1, 0), (1, 3))])
+def test_recover_refuses_a_recipe_whose_borders_differ(capsys, tmp_path, sigma,
+                                                       border):
+    """recover selects the rows of the recipe's border blocks, so a recipe
+    whose borders are not the pencil's col_block and row_block would give
+    a vector that is no eigenvector of G: a schema error naming both pairs
+    (GFPR of sigma = (0, 1, 2), tau = (-3,), borders (3, 1); m = 3,
+    n = r = 2)."""
+    g = np.random.default_rng(3).normal
+    m, n, r = 3, 2, 2
+    real = {"kind": "general", "P": [g(size=(n, n)).tolist() for _ in range(m + 1)],
+            "C": g(size=(n, r)).tolist(), "A": g(size=(r, r)).tolist(),
+            "B": g(size=(r, n)).tolist(), "E": np.eye(r).tolist()}
+    problem = _dump(tmp_path, "prob.json", {
+        "realization": real, "recipe": {"m": m, "sigma": [0, 1, 2], "tau": [-3]}})
+    pencil = str(tmp_path / "pencil.json")
+    assert run(capsys, "build", "--kind", "gfpr", "--problem", problem,
+               "--out", pencil)[0] == 0
+    L = _parse_pencil(json.loads((tmp_path / "pencil.json").read_text()))
+    assert (L.col_block, L.row_block) == (3, 1)
+    lam = pencil_eigenvalues(L.X, L.Y)[0][0]
+    basis = _dump(tmp_path, "basis.json", {"data": [
+        [repr(complex(v)).strip("()") for v in row]
+        for row in eigenvector_bundle(L, lam, tol=1e-6).eval(0)]})
+    argv = ["recover", "--pencil", pencil, "--basis", basis, "--recipe"]
+    code, out = run(capsys, *argv, _dump(tmp_path, "good.json",
+                                         {"m": m, "sigma": [0, 1, 2], "tau": [-3]}))
+    assert code == 0
+    x = np.array([[complex(v) for v in row] for row in json.loads(out)["g"]])
+    re = _parse_problem(problem)[0]
+    assert np.linalg.norm(re.g_eval(lam) @ x) <= 1e-8 * np.linalg.norm(x)
+    with pytest.raises(SystemExit) as e:
+        main([*argv, _dump(tmp_path, "bad.json", {"m": m, "sigma": list(sigma),
+                                                  "tau": [-3]})])
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (2, "")
+    assert err.startswith("schema error: recipe borders")
+    assert str(border) in err and "(3, 1)" in err
 
 
 def test_eig_large_fiedler_pencil(capsys, tmp_path, rng):

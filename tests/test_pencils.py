@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -9,10 +10,12 @@ from rosepencil.pencils import (GfprRecipe, RecipeError, _block_map,
                                 trivial_assignment)
 from rosepencil.polymat import MatrixPolynomial
 from rosepencil.realize import Realization, system_matrix
+from rosepencil.structured import _even_odd_recipe, symmetric_recipe
 from rosepencil.verify import det_proportionality, infinity_structure
 from conftest import ints, make_realization, poly, product_gfpr
-from lemma_oracles import _fiedler_product_S as product_S, \
-    dense_assign_product, window_assign_product, window_sides
+from lemma_oracles import _fiedler_product_S as product_S, consecutions, \
+    dense_assign_product, gfpr_border, inversions, is_sip, window_assign_product, \
+    window_sides
 
 
 def test_fiedler_pencil_borders(rng):
@@ -20,8 +23,8 @@ def test_fiedler_pencil_borders(rng):
     sigma = (1, 0, 3, 2)
     L = fiedler_pencil(sigma, re)
     assert L.size == re.m * re.n + re.r
-    assert L.col_block == re.m - tp.inversions(sigma, 0)
-    assert L.row_block == re.m - tp.consecutions(sigma, 0)
+    assert L.col_block == re.m - inversions(sigma, 0)
+    assert L.row_block == re.m - consecutions(sigma, 0)
 
 
 def test_fiedler_pencil_rejects_non_permutation(rng):
@@ -114,8 +117,8 @@ def test_gfpr_border_blocks(rng):
     re = make_realization("general", rng, m=4)
     recipe = GfprRecipe(m=4, sigma=(1, 2, 3, 0), tau=(-4,), sigma2=(2, 1))
     L = gfpr(recipe, re)
-    assert L.col_block == 4 - recipe.left_index()
-    assert L.row_block == 4 - recipe.right_index()
+    assert L.col_block == 4 - inversions(recipe.sigma1 + recipe.sigma, 0)
+    assert L.row_block == 4 - consecutions(recipe.sigma + recipe.sigma2, 0)
     n, r, mn = re.n, re.r, 4 * re.n
     u, v = L.col_block, L.row_block
     col = L.X[:mn, mn:]
@@ -142,8 +145,10 @@ def test_gfpr_poly_embeds_in_gfpr(rng):
 def test_recipe_validation():
     with pytest.raises(RecipeError):
         GfprRecipe(m=4, sigma=(1, 2, 0), tau=(-4,))  # tau misses -3
-    with pytest.raises(RecipeError):
+    with pytest.raises(RecipeError, match=r"^\(sigma1, sigma, sigma2\) violates the SIP$"):
         GfprRecipe(m=4, sigma=(1, 2, 3, 0), tau=(-4,), sigma2=(0, 0))
+    with pytest.raises(RecipeError, match=r"^\(tau1, tau, tau2\) violates the SIP$"):
+        GfprRecipe(m=4, sigma=(0,), tau=(-4, -3, -2, -1), tau2=(-4, -4))
     with pytest.raises(RecipeError):
         GfprRecipe(m=4, sigma=(1, 2, 3, 0), tau=(-4,), sigma1=(3,))
     with pytest.raises(RecipeError):
@@ -153,8 +158,8 @@ def test_recipe_validation():
 def test_recipe_indices_and_alpha():
     recipe = GfprRecipe(m=4, sigma=(1, 2, 3, 0), tau=(-4,), sigma2=(2, 1))
     assert recipe.h == 3
-    assert recipe.right_index() == tp.consecutions((1, 2, 3, 0, 2, 1), 0)
-    assert recipe.left_index() == tp.inversions((1, 2, 3, 0), 0)
+    assert recipe.border() == (4 - inversions((1, 2, 3, 0), 0),
+                               4 - consecutions((1, 2, 3, 0, 2, 1), 0))
     alpha = recipe.alpha()
     assert sorted(alpha) == list(range(4))
     assert tp.total_consecutions(alpha) + tp.total_inversions(alpha) == 3
@@ -301,6 +306,117 @@ def test_block_map_refuses_a_non_sip_tuple():
     lab = _block_map((1, 0), 2)   # M_1(X_0) M_0(X_1) = [[X_0, X_1], [I, 0]]
     assert lab.tolist() == [[2, 3], [1, 0]]
     assert not lab.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the block map decides the SIP and the borders: pinned against the scans
+
+def _check_recipe(m, sigma, tau, sigma1=(), sigma2=(), tau1=(), tau2=()):
+    """GfprRecipe refuses exactly the recipes whose sides fail the SIP
+    scan, naming the first side that fails; a valid recipe's border() is
+    (m - i_0, m - c_0).  Returns whether the recipe is valid."""
+    failed = [name for name, ok in (
+        ("(sigma1, sigma, sigma2)", is_sip(sigma1 + sigma + sigma2, max(sigma))),
+        ("(tau1, tau, tau2)", is_sip(tau1 + tau + tau2, m))) if not ok]
+    try:
+        recipe = GfprRecipe(m=m, sigma=sigma, tau=tau, sigma1=sigma1,
+                            sigma2=sigma2, tau1=tau1, tau2=tau2)
+    except RecipeError as exc:
+        assert failed and str(exc) == f"{failed[0]} violates the SIP", \
+            (m, sigma, tau, sigma1, sigma2, tau1, tau2)
+        return False
+    assert not failed, (m, sigma, tau, sigma1, sigma2, tau1, tau2)
+    assert recipe.border() == gfpr_border(recipe), recipe
+    return True
+
+
+def _decorations(m, h, total):
+    """Every (sigma1, sigma2, tau1, tau2) over {0:h-1} and {-m:-h-2} whose
+    lengths sum to at most total."""
+    values = [range(h), range(h), range(-m, -h - 1), range(-m, -h - 1)]
+    for lens in itertools.product(range(total + 1), repeat=4):
+        if sum(lens) <= total:
+            yield from itertools.product(*(itertools.product(v, repeat=k)
+                                           for v, k in zip(values, lens)))
+
+
+def test_block_map_decides_the_sip_and_borders_exhaustively():
+    """Every recipe with m <= 4 whose decorations have total length <= 2."""
+    outcomes = collections.Counter(
+        _check_recipe(m, sigma, tau, *deco)
+        for m in range(1, 5) for h in range(m)
+        for sigma in itertools.permutations(range(h + 1))
+        for tau in itertools.permutations(range(-m, -h))
+        for deco in _decorations(m, h, 2))
+    assert outcomes == {True: 733, False: 1908}
+
+
+def test_block_map_decides_the_sip_and_borders_on_seeded_recipes():
+    """Decorated recipes with m <= 7 and decorations of length <= 4."""
+    rng = np.random.default_rng(25)
+
+    def draw(lo, hi):
+        size = int(rng.integers(0, 5)) if hi >= lo else 0
+        return tuple(int(i) for i in rng.integers(lo, hi + 1, size=size))
+
+    outcomes = collections.Counter()
+    for _ in range(400):
+        m = int(rng.integers(1, 8))
+        h = int(rng.integers(0, m))
+        outcomes[_check_recipe(
+            m, tuple(int(i) for i in rng.permutation(h + 1)),
+            tuple(int(i) - m for i in rng.permutation(m - h)),
+            draw(0, h - 1), draw(0, h - 1), draw(-m, -h - 2), draw(-m, -h - 2))] += 1
+    assert outcomes == {True: 71, False: 329}
+
+
+def test_fp_and_gfp_borders_are_the_scanned_indices():
+    """Every FP for m <= 5 and every GFP for m <= 4 is bordered at blocks
+    (m - i_0, m - c_0) of its sigma (omega0), as the GFPR of sigma and
+    (-m,) is."""
+    for m in range(1, 6):
+        re = make_realization("general", np.random.default_rng(m), n=1, r=1, m=m, ns_top=True)
+        for sigma in itertools.permutations(range(m)):
+            want = (m - inversions(sigma, 0), m - consecutions(sigma, 0))
+            L = fiedler_pencil(sigma, re)
+            assert (L.col_block, L.row_block) == want, sigma
+            assert _check_recipe(m, sigma, (-m,))
+        if m <= 4:
+            for omega0, omega1 in _gfp_orderings(m):
+                L = gf_pencil(omega0, omega1, re)
+                assert (L.col_block, L.row_block) == \
+                    (m - inversions(omega0, 0), m - consecutions(omega0, 0))
+
+
+def test_structured_recipes_are_sip_and_bordered_at_one_block():
+    """The recipe of every structured family for m <= 13 and each even h:
+    symmetric, bare and with the longest canonical string as t_wh or t_vh;
+    even/odd and skew, with each admissible z, and with the simple z and
+    the first one-entry type-1 t_w or t_z.  Both sides pass the SIP scan,
+    and the borders are (m - i_0, m - c_0), one block."""
+    count = 0
+    for m in range(1, 14):
+        P = MatrixPolynomial([np.eye(1)] * (m + 1))
+        re = Realization(P, C=np.eye(1), E=np.eye(1), A=np.zeros((1, 1)), B=np.eye(1))
+        for h in range(0, m, 2):
+            hp = m - h - 1
+            recipes = [symmetric_recipe(P, h)]
+            recipes += [symmetric_recipe(P, h, t_wh=tp.string(0, h - 2))] if h >= 2 else []
+            recipes += [symmetric_recipe(P, h, t_vh=tp.string(-m, hp - 2 - m))] if hp >= 2 else []
+            recipes += [_even_odd_recipe(re, h, p) for p in range(hp % 2, hp + 1, 2)]
+            rev_w = tp.rev(tp.simple_admissible(h).entries)
+            rev_z = tp.rev(tp.simple_admissible(hp).entries)
+            t_w = [(s,) for s in range(h) if tp.is_type1_right((s,), rev_w)]
+            t_z = [(s - m,) for s in range(hp) if tp.is_type1_right((s,), rev_z)]
+            recipes += [_even_odd_recipe(re, h, None, t_w=t_w[0])] if t_w else []
+            recipes += [_even_odd_recipe(re, h, None, t_z=t_z[0])] if t_z else []
+            for recipe in recipes:
+                assert is_sip(recipe.sigma1 + recipe.sigma + recipe.sigma2, h)
+                assert is_sip(recipe.tau1 + recipe.tau + recipe.tau2, m)
+                u, v = recipe.border()
+                assert (u, v) == gfpr_border(recipe) and u == v, recipe
+                count += 1
+    assert count == 333
 
 
 def test_wrong_shape_assignment_is_recipe_error(rng):

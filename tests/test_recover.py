@@ -62,6 +62,14 @@ def test_pgf_recovery(rng):
         1e-8 * np.linalg.norm(G) * np.linalg.norm(x)
 
 
+def test_pgf_recovery_needs_zero_in_omega0(rng):
+    re = make_realization("general", rng, m=3)
+    L = gf_pencil((0, 1), (2, 3), re)
+    bun = eigenvector_bundle(L, _finite_eig(L, re))
+    with pytest.raises(ValueError, match=r"omega0: \(1, 2\)"):
+        recover_from_pgf(bun, [1, 2], 3)
+
+
 def test_side_mismatch_rejected(rng):
     re = make_realization("general", rng, m=3)
     recipe = GfprRecipe(m=3, sigma=(0, 1, 2), tau=(-3,))

@@ -24,8 +24,8 @@ from rosepencil.structured import (AmbiguousQuasiIdentity, QuasiIdentity,
                                    t_even_linearization, t_odd_linearization)
 from rosepencil.verify import VerificationFailure, det_proportionality
 from conftest import _PARITY, ints, make_realization, square
-from lemma_oracles import probe_cauchy_maslov_index, window_assign_product, \
-    window_sides
+from lemma_oracles import consecutions, probe_cauchy_maslov_index, \
+    window_assign_product, window_sides
 from paper_examples import t_pencil_tuples
 
 _BUILDERS = {
@@ -418,7 +418,8 @@ def test_structured_linearizations_at_m20(kind, rng):
     re = make_realization(kind, rng, m=20, ns_top=True)
     L = _BUILDERS[kind](re, 0)
     assert _exact_structure(kind, re, L)
-    c0 = _even_odd_recipe(re, 0, None).right_index()
+    recipe = _even_odd_recipe(re, 0, None)
+    c0 = consecutions(recipe.sigma + recipe.sigma2, 0)
     assert L.col_block == L.row_block == 20 - c0
     assert L.provenance["quasi_identity"][20 - c0 - 1] == 1
 

